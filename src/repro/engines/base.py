@@ -27,6 +27,7 @@ The per-round translation implements the paper's accounting:
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -86,6 +87,11 @@ DISK_FULL_BASE_STALL_SECONDS = 0.5
 #: model), the residual per vertex is bounded by the number of distinct
 #: endpoint counters a vertex realistically accumulates.
 AGGREGATED_ENDPOINTS_PER_VERTEX = 512
+
+#: Prepared graphs (partition, mirror plan, router) an engine keeps,
+#: least recently used evicted first. The heavy pieces are memoised in
+#: the artifact cache, so a re-preparation only rebuilds the router.
+PREPARED_GRAPHS_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -168,10 +174,10 @@ class BatchCheckpoint:
     ``should_suspend`` callback fires; consumed by
     :meth:`EngineSession.resume`. The object carries everything the
     round loop needs to continue — the partially-filled
-    :class:`BatchMetrics`, the live kernel (residual/frontier state),
-    and the crash-rollback window — so a suspend → resume cycle
-    replays *nothing* and the finished batch is byte-identical to an
-    uninterrupted run.
+    :class:`BatchMetrics`, the live (or replayed) kernel with its
+    residual/frontier state, and the crash-rollback window — so a
+    suspend → resume cycle replays *nothing* and the finished batch is
+    byte-identical to an uninterrupted run.
 
     Suspension piggybacks on the engine's checkpoint accounting: the
     barrier write costs :meth:`SimulatedEngine._checkpoint_seconds`
@@ -211,6 +217,64 @@ class BatchCheckpoint:
 
 
 @dataclass
+class Trajectory:
+    """The superstep sequence of one completed batch of a pure kernel.
+
+    A pure kernel (:attr:`~repro.tasks.base.TaskKernel.pure`) never
+    draws from the RNG, so its rounds are a function of (graph, router,
+    batch workload, task params) alone — all fixed for one session
+    except the workload. :class:`EngineSession` keeps the trajectory of
+    its most recent completed pure batch and steps a replay of it when
+    the next batch has the same workload; the engine still prices every
+    replayed round, so only the kernel's work is skipped.
+    """
+
+    workload: float
+    #: the kernel's round summaries, in order.
+    summaries: List[RoundSummary]
+    #: ``kernel.residual_bytes()`` before the first round, then after
+    #: each round (one more entry than ``summaries``).
+    residuals: List[float]
+
+
+class _RecordingKernel:
+    """A live pure kernel whose rounds are recorded into a trajectory."""
+
+    def __init__(self, kernel, workload: float) -> None:
+        self.kernel = kernel
+        self.trajectory = Trajectory(workload, [], [kernel.residual_bytes()])
+
+    def step(self) -> RoundSummary:
+        summary = self.kernel.step()
+        self.trajectory.summaries.append(summary)
+        self.trajectory.residuals.append(self.kernel.residual_bytes())
+        return summary
+
+    def residual_bytes(self) -> float:
+        return self.trajectory.residuals[-1]
+
+
+class _ReplayKernel:
+    """Steps a recorded :class:`Trajectory` in place of a live kernel.
+
+    Its whole state is the next round's index, so a replayed batch
+    suspends and resumes like a live one.
+    """
+
+    def __init__(self, trajectory: Trajectory) -> None:
+        self.trajectory = trajectory
+        self.rounds = 0
+
+    def step(self) -> RoundSummary:
+        summary = self.trajectory.summaries[self.rounds]
+        self.rounds += 1
+        return summary
+
+    def residual_bytes(self) -> float:
+        return self.trajectory.residuals[self.rounds]
+
+
+@dataclass
 class _PreparedGraph:
     """Partition-derived state cached per (graph, cluster) pair."""
 
@@ -238,6 +302,10 @@ class EngineSession:
     :meth:`flush_residual`. Both paths execute the *same* code, so a
     degenerate schedule (all tasks pre-queued) reproduces the offline
     runner byte for byte.
+
+    Batches of a pure kernel are recorded; the next batch of the same
+    workload replays the recording instead of re-running the kernel
+    (:class:`Trajectory`, DESIGN.md §8).
     """
 
     def __init__(
@@ -293,6 +361,9 @@ class EngineSession:
         #: coordinate residual-model tells use (``Mr`` maps *total
         #: processed workload* to leftover bytes).
         self.told_workload = 0.0
+        #: trajectory of the most recent completed pure batch (one slot:
+        #: a batch that misses replaces it).
+        self.trajectory: Optional[Trajectory] = None
 
     def flush_residual(self) -> float:
         """Release the accumulated residual memory (results emitted to
@@ -333,23 +404,42 @@ class EngineSession:
             )
         if batch_workload <= 0:
             raise BatchingError("batch workload must be positive")
+        workload = float(batch_workload)
         batch = BatchMetrics(
             batch_index=self.batches_run,
-            workload=float(batch_workload),
+            workload=workload,
             residual_memory_bytes=self.residual_bytes,
         )
-        kernel = self.task.make_kernel(
-            self.prep.router, float(batch_workload), self.rng, arena=self.arena
-        )
+        trajectory = self._lookup_trajectory(workload)
+        if trajectory is not None:
+            kernel = _ReplayKernel(trajectory)
+        else:
+            kernel = self.task.make_kernel(
+                self.prep.router,
+                workload,
+                self.rng,
+                arena=self.arena,
+                combining=self.engine.profile.combining,
+            )
+            if kernel.pure:
+                kernel = _RecordingKernel(kernel, workload)
         batch.startup_seconds = self.engine.profile.per_batch_overhead_seconds
         self.elapsed += batch.startup_seconds
         state = BatchCheckpoint(
             batch=batch,
-            workload=float(batch_workload),
+            workload=workload,
             kernel=kernel,
             residual_prev_bytes=self.residual_bytes,
         )
         return self._drive(state, should_suspend)
+
+    def _lookup_trajectory(self, workload: float) -> Optional[Trajectory]:
+        """The recorded trajectory to replay for a ``workload`` batch,
+        or ``None`` when the batch must run its kernel."""
+        trajectory = self.trajectory
+        if trajectory is not None and trajectory.workload == workload:
+            return trajectory
+        return None
 
     def resume(self, *, should_suspend=None):
         """Continue the suspended batch from its barrier checkpoint.
@@ -474,6 +564,10 @@ class EngineSession:
                 "kernel did not terminate"
             )
         batch.overloaded = overloaded
+        if isinstance(kernel, _ReplayKernel):
+            timings.add("kernel.replay", 0.0, count=len(batch.rounds))
+        elif isinstance(kernel, _RecordingKernel) and not overloaded:
+            self.trajectory = kernel.trajectory
         self.residual_bytes += kernel.residual_bytes()
         batch.residual_memory_after_bytes = self.residual_bytes
         self.batches_run += 1
@@ -495,7 +589,8 @@ class SimulatedEngine:
     def __init__(self, cluster: ClusterSpec, profile: EngineProfile) -> None:
         self.cluster = cluster
         self.profile = profile
-        self._prepared: dict = {}
+        #: (graph fingerprint, message bytes) -> prepared graph, LRU.
+        self._prepared: "OrderedDict[tuple, _PreparedGraph]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Public API
@@ -714,18 +809,21 @@ class SimulatedEngine:
     # Preparation
     # ------------------------------------------------------------------
     def _prepare(self, task: TaskSpec) -> _PreparedGraph:
-        # Keyed by graph identity *and* the task's wire message size: the
+        # Keyed by graph content *and* the task's wire message size: the
         # router inside the prep carries ``task.message_bytes``, so two
         # kinds on one graph must not share a prep or whichever prepares
         # first would donate its message size to the other (making the
         # cost of a batch depend on preparation order — e.g. on whether
-        # probe training ran before the first serve batch). The heavy
-        # pieces (partition, mirror plan) are memoised task-independently
-        # in the artifact cache, so per-size preps only duplicate the
-        # cheap router wrapper.
-        key = (id(task.graph), float(task.message_bytes))
-        if key in self._prepared:
-            return self._prepared[key]
+        # probe training ran before the first serve batch). Content, not
+        # identity, so a freed graph's recycled ``id`` can never hand its
+        # router to another graph. The heavy pieces (partition, mirror
+        # plan) are memoised task-independently in the artifact cache,
+        # so per-size preps only duplicate the cheap router wrapper.
+        key = (task.graph.fingerprint, float(task.message_bytes))
+        prep = self._prepared.get(key)
+        if prep is not None:
+            self._prepared.move_to_end(key)
+            return prep
         graph = task.graph
         machines = self.cluster.num_machines
 
@@ -771,6 +869,8 @@ class SimulatedEngine:
             max_arcs=max_arcs,
         )
         self._prepared[key] = prep
+        if len(self._prepared) > PREPARED_GRAPHS_LIMIT:
+            self._prepared.popitem(last=False)
         return prep
 
     def _make_cost_model(self) -> CostModel:

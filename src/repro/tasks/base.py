@@ -73,9 +73,12 @@ def alloc_state_matrix(
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundSummary:
     """What one kernel round emitted, already routed.
+
+    Frozen: a session keeps the summaries of its last pure batch and
+    hands the same objects out again on replay, so none may change.
 
     Attributes
     ----------
@@ -85,6 +88,9 @@ class RoundSummary:
         wire messages after (source, target) combining — engines with
         combiners (GraphLab sync) transmit this count instead. ``None``
         means combining does not apply (defaults to the routed count).
+        Kernels whose estimate costs real work (BPPR) compute it only
+        when the engine combines (:meth:`TaskKernel.use_combining`) and
+        leave it ``None`` otherwise.
     compute_ops:
         work units this round (message handling + vertex updates),
         cluster-wide.
@@ -122,6 +128,8 @@ class TaskKernel(ABC):
         self.router = router
         self.arena = ScratchArena()
         self._shard_arenas: List[ScratchArena] = []
+        #: whether the engine reads ``RoundSummary.combined_messages``.
+        self.combining = False
         self._started = False
         self._finished = False
         self._round = 0
@@ -134,6 +142,24 @@ class TaskKernel(ABC):
         if self._started:
             raise TaskError("use_arena() must be called before start_batch()")
         self.arena = arena
+
+    def use_combining(self, enabled: bool) -> None:
+        """Tell the kernel whether the engine combines messages (and so
+        reads ``RoundSummary.combined_messages``). Engine-injected like
+        :meth:`use_arena`; must happen before :meth:`start_batch`."""
+        if self._started:
+            raise TaskError(
+                "use_combining() must be called before start_batch()"
+            )
+        self.combining = bool(enabled)
+
+    @property
+    def pure(self) -> bool:
+        """True when the kernel never draws from its RNG, so its rounds
+        depend only on (graph, router, batch workload, task params) and
+        an engine session may replay a recorded batch instead of
+        re-running it (DESIGN.md §8). Conservatively ``False``."""
+        return False
 
     def start_batch(self, workload: float) -> None:
         """Initialise the batch for ``workload`` unit tasks."""
@@ -255,15 +281,19 @@ class TaskSpec:
         batch_workload: float,
         rng: np.random.Generator,
         arena: Optional[ScratchArena] = None,
+        combining: bool = False,
     ) -> TaskKernel:
         """Instantiate a kernel for one batch of this job.
 
         ``arena`` (engine-provided) shares one scratch-buffer pool across
         every batch of a job, so steady-state rounds allocate nothing.
+        ``combining`` says whether the engine reads the combined-message
+        estimate (see :meth:`TaskKernel.use_combining`).
         """
         kernel = self.kernel_factory(self.graph, router, batch_workload, rng)
         if arena is not None:
             kernel.use_arena(arena)
+        kernel.use_combining(combining)
         kernel.start_batch(batch_workload)
         return kernel
 

@@ -93,9 +93,20 @@ class BPPRKernel(TaskKernel):
         self.rng = rng
         self._degrees = graph.degrees.astype(np.float64)
         self._dangling = self._degrees == 0
+        self._has_out_edges = self._degrees > 0
+        # Stop phase: α of everything, plus all mass stranded on
+        # dangling vertices (a walk with no out-edge terminates).
+        self._stop_fraction = np.where(self._dangling, 1.0, self.alpha)
+        self._move_fraction = 1.0 - self._stop_fraction
         self._stops_total = 0.0
-        nonzero = self._degrees[self._degrees > 0]
+        nonzero = self._degrees[self._has_out_edges]
         self._avg_degree = float(nonzero.mean()) if nonzero.size else 1.0
+
+    @property
+    def pure(self) -> bool:
+        """Expected mode propagates mass deterministically, never
+        drawing from the RNG; Monte-Carlo walks do draw."""
+        return self.mode == "expected"
 
     def _distinct_sources_estimate(self) -> float:
         """Expected distinct walk *sources* present at a vertex this round.
@@ -170,14 +181,10 @@ class BPPRKernel(TaskKernel):
         else:
             mass_per_vertex = self._mass_vec
 
-        # Stop phase: α of everything, plus all mass stranded on
-        # dangling vertices (a walk with no out-edge terminates).
-        stop_fraction = np.where(self._dangling, 1.0, self.alpha)
-        moving_per_vertex = mass_per_vertex * (1.0 - stop_fraction)
-        stops_this_round = float(
-            (mass_per_vertex * stop_fraction).sum()
-        )
-        self._stops_total += stops_this_round
+        stop_fraction = self._stop_fraction
+        moving_per_vertex = mass_per_vertex * self._move_fraction
+        stopped_per_vertex = mass_per_vertex * stop_fraction
+        self._stops_total += float(stopped_per_vertex.sum())
 
         active = np.flatnonzero(moving_per_vertex > 0)
         # A broadcast block carries one entry per distinct source with
@@ -196,16 +203,16 @@ class BPPRKernel(TaskKernel):
         tick = perf_counter()
         if self.track_sources:
             self._stopped += self._mass * stop_fraction[None, :]
-            moving = self._mass * (1.0 - stop_fraction)[None, :]
+            moving = self._mass * self._move_fraction[None, :]
             self._mass = moving @ self._transition
             remaining = float(self._mass.sum())
         else:
-            self._stopped_vec += mass_per_vertex * stop_fraction
+            self._stopped_vec += stopped_per_vertex
             share = np.divide(
                 moving_per_vertex,
                 self._degrees,
                 out=np.zeros_like(moving_per_vertex),
-                where=self._degrees > 0,
+                where=self._has_out_edges,
             )
             self._mass_vec = propagate_mass(graph, share)
             remaining = float(self._mass_vec.sum())
@@ -225,7 +232,7 @@ class BPPRKernel(TaskKernel):
         )
 
     def _maybe_stabilize(
-        self, routed, combined: float, active_count: int
+        self, routed, combined: Optional[float], active_count: int
     ) -> None:
         """Detect convergence of the mass direction (untracked mode).
 
@@ -253,8 +260,7 @@ class BPPRKernel(TaskKernel):
                 self._cached_active_count = active_count
                 # Exact stationary stop distribution: stops per vertex
                 # are mass * stop_fraction, normalized.
-                stop_fraction = np.where(self._dangling, 1.0, self.alpha)
-                raw = self._mass_vec * stop_fraction
+                raw = self._mass_vec * self._stop_fraction
                 raw_sum = float(raw.sum())
                 self._stable_stop_dist = (
                     raw / raw_sum if raw_sum > 0 else direction
@@ -282,6 +288,7 @@ class BPPRKernel(TaskKernel):
         )
         remaining = float(self._mass_vec.sum())
         done = remaining < MASS_EPSILON or self._round >= self.max_rounds
+        combined = self._cached_combined
         return RoundSummary(
             routed=routed,
             compute_ops=routed.delivered_messages
@@ -289,7 +296,7 @@ class BPPRKernel(TaskKernel):
             task_state_bytes=remaining * WALK_STATE_BYTES,
             active_vertices=float(self._cached_active_count),
             done=done,
-            combined_messages=self._cached_combined * scale,
+            combined_messages=None if combined is None else combined * scale,
         )
 
     def _advance_montecarlo(self) -> RoundSummary:
@@ -407,7 +414,7 @@ class BPPRKernel(TaskKernel):
             1.0,
             self._degrees,
             out=np.zeros_like(self._degrees),
-            where=self._degrees > 0,
+            where=self._has_out_edges,
         )
         if arc_src.size:
             rows, cols, sums = segment_sum(
@@ -421,14 +428,18 @@ class BPPRKernel(TaskKernel):
         emissions_per_vertex: np.ndarray,
         active: np.ndarray,
         distinct_sources: float,
-    ) -> float:
+    ) -> Optional[float]:
         """Wire messages after (source, target) combining (GraphLab sync).
 
         Combining merges walks sharing both source and next hop, so its
         effectiveness falls as source diversity grows round over round.
+        ``None`` when the engine does not combine: nothing would read
+        the estimate.
         """
         from repro.messages.combine import combined_walk_messages
 
+        if not self.combining:
+            return None
         if active.size == 0:
             return 0.0
         combined = combined_walk_messages(

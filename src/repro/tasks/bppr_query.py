@@ -54,6 +54,11 @@ class BPPRQueryKernel(BPPRKernel):
         self._query_scale = 1.0
         self._sources = np.empty(0, dtype=np.int64)
 
+    @property
+    def pure(self) -> bool:
+        """Query sources are drawn from the RNG, so never replayed."""
+        return False
+
     def _initialise(self, workload: float) -> None:
         super()._initialise(workload)
         sampled = choose_sources(

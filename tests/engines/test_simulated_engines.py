@@ -4,6 +4,7 @@ import pytest
 
 from repro.batching.executor import MultiProcessingJob
 from repro.cluster.cluster import galaxy8
+from repro.engines.base import PREPARED_GRAPHS_LIMIT
 from repro.engines.registry import (
     ENGINE_NAMES,
     create_engine,
@@ -11,6 +12,7 @@ from repro.engines.registry import (
 )
 from repro.errors import BatchingError, UnknownEngineError
 from repro.graph.datasets import load_dataset
+from repro.graph.generators import erdos_renyi
 from repro.tasks.bppr import bppr_task
 from repro.tasks.mssp import mssp_task
 
@@ -232,3 +234,21 @@ class TestMultiProcessingJob:
     def test_engine_by_name_needs_cluster(self):
         with pytest.raises(BatchingError):
             MultiProcessingJob("pregel+")
+
+
+class TestPreparedGraphs:
+    def test_equal_content_graphs_share_one_prep(self, cluster):
+        engine = create_engine("pregel+", cluster)
+        first = erdos_renyi(200, avg_degree=4.0, seed=3, name="a")
+        second = erdos_renyi(200, avg_degree=4.0, seed=3, name="b")
+        assert first is not second
+        prep = engine._prepare(bppr_task(first, 8))
+        assert engine._prepare(bppr_task(second, 8)) is prep
+        assert len(engine._prepared) == 1
+
+    def test_prepared_graphs_are_bounded(self, cluster):
+        engine = create_engine("pregel+", cluster)
+        for seed in range(50):
+            graph = erdos_renyi(40, avg_degree=3.0, seed=seed)
+            engine._prepare(bppr_task(graph, 8))
+        assert len(engine._prepared) <= PREPARED_GRAPHS_LIMIT
