@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, unique_sorted
 
 EdgeLike = Union[Tuple[int, int], Tuple[int, int, float], Sequence[float]]
 
@@ -157,18 +157,14 @@ def _dedup_min_weight(
 
     Output arcs are sorted by ``(src, dst)`` — i.e. by composite key —
     which lets :func:`from_edges` skip its lexsort after dedup. The
-    unweighted path sorts explicitly rather than calling ``np.unique``:
+    unweighted path uses :func:`unique_sorted` rather than ``np.unique``:
     numpy's hash-based unique is ~50x slower than sort+mask on these
     millions-of-random-int64 key arrays, and both return the same
     sorted uniques.
     """
     keys = src * np.int64(num_vertices) + dst
     if weights is None:
-        keys = np.sort(keys)
-        first = np.empty(keys.size, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        unique_keys = keys[first]
+        unique_keys = unique_sorted(keys)
         return unique_keys // num_vertices, unique_keys % num_vertices, None
     order = np.lexsort((weights, keys))
     keys_sorted = keys[order]
@@ -302,11 +298,7 @@ def build_csr_on_disk(
         keys = src * np.int64(num_vertices) + dst
         base = os.path.join(runs_dir, f"run-{run_id:06d}")
         if weights is None:
-            keys = np.sort(keys)
-            first = np.empty(keys.size, dtype=bool)
-            first[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            np.save(base + "-keys.npy", keys[first])
+            np.save(base + "-keys.npy", unique_sorted(keys))
         else:
             order = np.lexsort((weights, keys))
             keys_sorted = keys[order]

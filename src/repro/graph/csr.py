@@ -52,6 +52,7 @@ class Graph:
         "_degrees",
         "_fingerprint",
         "_spread",
+        "_adjacency",
     )
 
     #: True on memory-mapped subclasses (:class:`repro.graph.io.MappedGraph`);
@@ -92,13 +93,26 @@ class Graph:
         self.weights = weights
         self.directed = bool(directed)
         self.name = name
-        self._degrees = None
-        self._fingerprint = None
-        self._spread = None
+        self._init_caches()
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
         if self.weights is not None:
             self.weights.setflags(write=False)
+
+    def _init_caches(self, fingerprint: Optional[str] = None) -> None:
+        """Reset every derived-cache slot (degrees, fingerprint, the
+        lazily built scipy operators).
+
+        The one place a cache slot is initialised: ``__init__``,
+        ``__setstate__`` and the constructors that bypass ``__init__``
+        (mapped open, shared-memory attach) all call it, so a new slot
+        added here is set on every construction path. ``fingerprint``
+        pre-seeds the content hash when the caller already knows it.
+        """
+        self._degrees = None
+        self._fingerprint = fingerprint
+        self._spread = None
+        self._adjacency = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -259,7 +273,7 @@ class Graph:
         )
 
     def __getstate__(self) -> dict:
-        # Derived caches (degrees, the spread operator) are dropped so
+        # Derived caches (degrees, the scipy operators) are dropped so
         # pickles carry only the CSR arrays; the fingerprint rides along
         # because recomputing it hashes every array.
         return {
@@ -274,9 +288,7 @@ class Graph:
     def __setstate__(self, state: dict) -> None:
         for slot in ("indptr", "indices", "weights", "directed", "name"):
             object.__setattr__(self, slot, state[slot])
-        self._degrees = None
-        self._fingerprint = state.get("_fingerprint")
-        self._spread = None
+        self._init_caches(state.get("_fingerprint"))
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
         if self.weights is not None:
@@ -385,15 +397,30 @@ def dedup_pairs(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     keys = composite_keys(rows, cols, num_cols, arena)
+    return _split_keys(unique_sorted(keys, arena), num_cols, arena)
+
+
+def unique_sorted(
+    keys: np.ndarray, arena: "Optional[ScratchArena]" = None
+) -> np.ndarray:
+    """Distinct values of ``keys`` in ascending order.
+
+    Sorts ``keys`` **in place** and keeps the first element of every
+    run (a ``not_equal`` boundary mask) — the same result as
+    ``np.unique`` at a fraction of its cost on large integer key
+    arrays. With ``arena``, the boundary mask is pooled.
+    """
+    if keys.size == 0:
+        return keys
+    keys.sort()
     boundary = (
         np.empty(keys.size, dtype=bool)
         if arena is None
         else arena.take(keys.size, dtype=bool)
     )
-    keys.sort()
     boundary[0] = True
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    return _split_keys(keys[boundary], num_cols, arena)
+    return keys[boundary]
 
 
 def dedup_pairs_dense(
@@ -421,9 +448,27 @@ def dedup_pairs_dense(
     return _split_keys(cells, mask.shape[1], arena)
 
 
-#: Sentinel cached on ``Graph._spread`` when scipy is unavailable, so
-#: the import is attempted once per graph rather than once per round.
-_NO_SPREAD = object()
+#: Sentinel cached on an operator slot (``Graph._spread`` /
+#: ``Graph._adjacency``) when scipy is unavailable, so the import is
+#: attempted once per graph rather than once per round.
+_NO_SCIPY = object()
+
+
+def _cached_operator(graph: Graph, slot: str, build):
+    """The scipy operator cached on ``graph.<slot>``, built on first use
+    by ``build(sparse)``; ``None`` when scipy is missing."""
+    op = getattr(graph, slot)
+    if op is _NO_SCIPY:
+        return None
+    if op is None:
+        try:
+            from scipy import sparse
+        except ImportError:  # pragma: no cover - scipy is baked in
+            setattr(graph, slot, _NO_SCIPY)
+            return None
+        op = build(sparse)
+        setattr(graph, slot, op)
+    return op
 
 
 def _spread_operator(graph: Graph):
@@ -435,26 +480,44 @@ def _spread_operator(graph: Graph):
     at ~2-3x the throughput. Returns ``None`` when scipy is missing
     (the bincount fallback then runs, producing the same bits).
     """
-    op = graph._spread
-    if op is _NO_SPREAD:
-        return None
-    if op is None:
-        try:
-            from scipy import sparse
-        except ImportError:  # pragma: no cover - scipy is baked in
-            graph._spread = _NO_SPREAD
-            return None
+
+    def build(sparse):
         n, m = graph.num_vertices, graph.num_arcs
         order = np.argsort(graph.indices, kind="stable")
         rev_src = graph.edge_sources()[order]
         in_deg = np.bincount(graph.indices, minlength=n)
         rev_indptr = np.concatenate(([0], np.cumsum(in_deg)))
-        op = sparse.csr_matrix(
+        return sparse.csr_matrix(
             (np.ones(m, dtype=np.float64), rev_src, rev_indptr),
             shape=(n, n),
         )
-        graph._spread = op
-    return op
+
+    return _cached_operator(graph, "_spread", build)
+
+
+def adjacency_operator(graph: Graph):
+    """Lazy per-graph boolean out-adjacency ``A`` as a scipy CSR matrix.
+
+    ``A[u, v]`` is True for every arc ``u -> v`` (parallel arcs stay as
+    duplicate entries, which a boolean product ORs away). Frontier
+    kernels multiply an ``(s, n)`` boolean frontier by it to get every
+    cell reached in one round without materialising per-arc candidates
+    (:meth:`repro.tasks.mssp.MSSPKernel._advance_unweighted`). scipy
+    narrows the index arrays, so the cached operator costs an int32
+    copy of ``indices`` (4 B/arc) plus 1 B/arc of data. Returns
+    ``None`` when scipy is missing. Callers dispatch mapped graphs to
+    their streaming paths first, so the O(m) operator is never built
+    for an out-of-core graph.
+    """
+
+    def build(sparse):
+        n = graph.num_vertices
+        return sparse.csr_matrix(
+            (np.ones(graph.num_arcs, dtype=bool), graph.indices, graph.indptr),
+            shape=(n, n),
+        )
+
+    return _cached_operator(graph, "_adjacency", build)
 
 
 def propagate_mass(graph: Graph, per_vertex: np.ndarray) -> np.ndarray:

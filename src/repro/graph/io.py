@@ -357,9 +357,7 @@ def open_mapped(directory: PathLike) -> MappedGraph:
     graph.weights = weights
     graph.directed = bool(meta["directed"])
     graph.name = str(meta["name"])
-    graph._degrees = None
-    graph._fingerprint = str(meta["fingerprint"])
-    graph._spread = None
+    graph._init_caches(str(meta["fingerprint"]))
     graph.directory = directory
     return graph
 

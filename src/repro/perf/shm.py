@@ -430,9 +430,7 @@ class SharedGraphRegistry:
         graph.weights = views[2] if handle.weighted else None
         graph.directed = handle.directed
         graph.name = handle.name
-        graph._degrees = None
-        graph._fingerprint = handle.fingerprint
-        graph._spread = None
+        graph._init_caches(handle.fingerprint)
         for array in views:
             if array is not None:
                 array.setflags(write=False)

@@ -24,6 +24,7 @@ from repro.graph.csr import (
     expand_frontier,
     iter_frontier_blocks,
     streaming_block_arcs,
+    unique_sorted,
     use_dense_cells,
 )
 from repro.messages.routing import MessageRouter
@@ -209,12 +210,7 @@ class BKHSKernel(TaskKernel):
             if len(fresh_lists) == 1:
                 keys = fresh_lists[0]  # row-major within a shard already
             else:
-                keys = np.concatenate(fresh_lists)
-                keys.sort()
-                boundary = np.empty(keys.size, dtype=bool)
-                boundary[0] = True
-                np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-                keys = keys[boundary]
+                keys = unique_sorted(np.concatenate(fresh_lists))
             new_rows, new_verts = np.divmod(keys, np.int64(n))
             self._visited[new_rows, new_verts] = True
             self._frontier_rows, self._frontier_verts = new_rows, new_verts

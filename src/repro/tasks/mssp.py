@@ -7,6 +7,9 @@ a synchronous multi-source Bellman-Ford — fully vectorised over the
 (source, vertex) frontier. Under the mirror/broadcast interface the
 per-neighbour message collapses to one ``(u, d)`` broadcast block per
 updated (source, vertex) pair, which :meth:`route_emissions` handles.
+On unweighted graphs the same rounds are level-synchronous BFS and run
+as one boolean sparse product per round
+(:meth:`MSSPKernel._advance_unweighted`).
 
 Workload is the *number of source nodes* (the paper's MSSP unit). For
 large workloads, ``sample_limit`` caps how many distinct sources are
@@ -23,11 +26,13 @@ import numpy as np
 
 from repro.graph.csr import (
     Graph,
+    adjacency_operator,
     expand_frontier,
     iter_frontier_blocks,
     scatter_min_dense,
     segment_min,
     streaming_block_arcs,
+    unique_sorted,
     use_dense_cells,
 )
 from repro.messages.routing import MessageRouter
@@ -90,6 +95,10 @@ class MSSPKernel(TaskKernel):
             )
             if shards > 1:
                 return self._advance_parallel(shards)
+        if graph.weights is None:
+            adjacency = adjacency_operator(graph)
+            if adjacency is not None:
+                return self._advance_unweighted(adjacency)
         arena = self.arena
         arena.new_round()
         rows, verts = self._frontier_rows, self._frontier_verts
@@ -183,6 +192,69 @@ class MSSPKernel(TaskKernel):
         updates_per_vertex = np.bincount(
             verts, minlength=graph.num_vertices
         ).astype(np.float64)
+        return self._summary_for(verts, updates_per_vertex, done)
+
+    def _advance_unweighted(self, adjacency) -> RoundSummary:
+        """Unweighted round as one boolean sparse product (a BFS level).
+
+        Without weights, synchronous Bellman-Ford is level-synchronous
+        BFS: round ``k``'s frontier is exactly the cells first reached
+        in round ``k``, so every frontier cell holds the same distance
+        ``level`` and every other finite cell holds less. Every
+        candidate is therefore ``level + 1.0``, and a cell improves iff
+        it is still unreached — the min-scatter's minima are never
+        read. The row-major frontier becomes an ``(s, n)`` boolean CSR
+        (``indptr`` is a ``searchsorted`` over the sorted rows); one
+        product with the cached out-adjacency
+        (:func:`adjacency_operator`) yields every reached cell, and the
+        unreached ones get ``level + 1.0`` — the float the candidate
+        sum produced — in row-major frontier order. Distances, frontier
+        and round summaries are bit-identical to the min-scatter path.
+        """
+        from scipy import sparse  # loaded by adjacency_operator
+
+        rows, verts = self._frontier_rows, self._frontier_verts
+        s, n = self._dist.shape
+        tick = perf_counter()
+        frontier = sparse.csr_matrix(
+            (
+                np.ones(verts.size, dtype=bool),
+                verts,
+                np.searchsorted(rows, np.arange(s + 1)),
+            ),
+            shape=(s, n),
+        )
+        reached = frontier @ adjacency
+        tock = perf_counter()
+        timings.add("kernel.expand", tock - tick)
+        if reached.nnz == 0:
+            return self._summary_for(
+                np.empty(0, dtype=np.int64), np.empty(0), done=True
+            )
+        keys = np.repeat(
+            np.arange(0, s * n, n, dtype=np.int64), np.diff(reached.indptr)
+        )
+        keys += reached.indices
+        flat = self._dist.reshape(-1)
+        level = self._dist[rows[0], verts[0]]
+        winners = keys[flat[keys] > level]
+        winners.sort()
+        tick = perf_counter()
+        timings.add("kernel.reduce", tick - tock)
+        if winners.size:
+            flat[winners] = level + 1.0
+            self._frontier_rows, self._frontier_verts = np.divmod(
+                winners, np.int64(n)
+            )
+            done = self._round >= self.max_rounds
+        else:
+            self._frontier_rows = np.empty(0, dtype=np.int64)
+            self._frontier_verts = np.empty(0, dtype=np.int64)
+            done = True
+        timings.add("kernel.frontier", perf_counter() - tick)
+        updates_per_vertex = np.bincount(verts, minlength=n).astype(
+            np.float64
+        )
         return self._summary_for(verts, updates_per_vertex, done)
 
     def _advance_parallel(self, shards: int) -> RoundSummary:
@@ -291,12 +363,7 @@ class MSSPKernel(TaskKernel):
             if len(winner_lists) == 1:
                 keys = winner_lists[0]  # row-major within a shard already
             else:
-                keys = np.concatenate(winner_lists)
-                keys.sort()
-                boundary = np.empty(keys.size, dtype=bool)
-                boundary[0] = True
-                np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-                keys = keys[boundary]
+                keys = unique_sorted(np.concatenate(winner_lists))
             self._frontier_rows, self._frontier_verts = np.divmod(
                 keys, np.int64(n)
             )
@@ -400,12 +467,7 @@ class MSSPKernel(TaskKernel):
             if len(winner_lists) == 1:
                 keys = winner_lists[0]  # already row-major within a block
             else:
-                keys = np.concatenate(winner_lists)
-                keys.sort()
-                boundary = np.empty(keys.size, dtype=bool)
-                boundary[0] = True
-                np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-                keys = keys[boundary]
+                keys = unique_sorted(np.concatenate(winner_lists))
             self._frontier_rows, self._frontier_verts = np.divmod(
                 keys, np.int64(n)
             )

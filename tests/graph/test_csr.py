@@ -1,11 +1,16 @@
 """Unit tests for the CSR graph structure."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
 from repro.graph.build import from_edge_list, from_edges
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, adjacency_operator, propagate_mass
+from repro.graph.generators import chung_lu
+from repro.graph.io import save_mapped
+from repro.perf import shm
 
 
 class TestConstruction:
@@ -126,3 +131,56 @@ class TestDerivedViews:
     def test_drop_self_loops(self):
         g = from_edge_list([(0, 0), (0, 1), (1, 1)], drop_self_loops=True)
         assert g.num_arcs == 1
+
+
+def _constructed(path, graph, tmp_path, registry):
+    if path == "init":
+        return Graph(graph.indptr, graph.indices, directed=graph.directed)
+    if path == "unpickle":
+        return pickle.loads(pickle.dumps(graph))
+    if path == "mapped":
+        return save_mapped(graph, tmp_path / "g.csr")
+    handle = registry.export(("dataset", "slots", 1, None), graph)
+    if handle is None:
+        pytest.skip("shared memory unavailable on this platform")
+    return registry.attach(handle)
+
+
+class TestCacheSlots:
+    """Every construction path (``__init__``, unpickling, mapped open,
+    shared-memory attach) sets every slot, with the derived caches
+    empty and the fingerprint carried over."""
+
+    @pytest.mark.parametrize("path", ["init", "unpickle", "mapped", "shm"])
+    def test_every_slot_is_set(self, path, tmp_path):
+        graph = chung_lu(60, 4.0, seed=1)
+        fingerprint = graph.fingerprint
+        adjacency_operator(graph)  # warm caches must not leak across
+        propagate_mass(graph, np.ones(graph.num_vertices))
+        registry = shm.SharedGraphRegistry()
+        try:
+            built = _constructed(path, graph, tmp_path, registry)
+            slots = {
+                slot: getattr(built, slot)
+                for klass in type(built).__mro__
+                for slot in getattr(klass, "__slots__", ())
+            }
+        finally:
+            registry.shutdown()
+        assert {"_degrees", "_spread", "_adjacency"} <= slots.keys()
+        assert slots["_degrees"] is None
+        assert slots["_spread"] is None
+        assert slots["_adjacency"] is None
+        assert slots["_fingerprint"] in (None, fingerprint)
+
+    def test_adjacency_operator_is_cached_and_boolean(self):
+        graph = from_edges(
+            np.array([0, 0, 1, 2, 2]), np.array([1, 1, 2, 2, 0]), num_vertices=4
+        )
+        op = adjacency_operator(graph)
+        assert adjacency_operator(graph) is op
+        assert op.dtype == bool and op.shape == (4, 4)
+        dense = op.toarray()
+        expected = np.zeros((4, 4), dtype=bool)
+        expected[[0, 1, 2, 2], [1, 2, 2, 0]] = True
+        np.testing.assert_array_equal(dense, expected)
