@@ -7,8 +7,7 @@ Run from the repo root (CI does)::
     python benchmarks/kernel_bench.py --strict     # non-zero exit on drift
     python benchmarks/kernel_bench.py --crossover  # dense/sparse sweep
     python benchmarks/kernel_bench.py --streaming  # block-streaming kernels
-    python benchmarks/kernel_bench.py --workers 1 2 4   # sharded kernels
-    python benchmarks/kernel_bench.py --parallel-smoke  # digest identity
+    python benchmarks/kernel_bench.py --block-smoke  # digest identity
 
 The default mode measures the median (p50) ``kernel.step()`` wall-clock
 per task on a fixed mid-size Chung-Lu graph and compares it against
@@ -29,17 +28,12 @@ The results land under ``streaming.<task>`` keys in the baseline and
 drift only ever warns — the mode exists to keep an eye on the
 out-of-core overhead ratio, not to gate merges.
 
-``--workers N [N ...]`` reruns the suite with the intra-task kernel
-pool at each worker count (the sharding crossover forced down so the
-small benchmark graph actually shards). Results land under
-``parallel.wN.<task>`` keys and, like streaming, only ever warn — the
-1-CPU CI runners cannot see a thread-level speedup, so the keys track
-the dispatch/merge *overhead* trajectory instead.
-
-``--parallel-smoke`` is the blocking leg: it runs every task serially
-and at worker counts 2 and 4, digesting each run's full round-summary
-stream plus its final result arrays, and exits non-zero on any digest
-mismatch — the serial and sharded kernels must agree byte for byte.
+``--block-smoke`` is the blocking leg: it digests every task's full
+round-summary stream plus its final result arrays on the in-RAM
+benchmark graph (one frontier block per round) and on its mapped copy
+with the ``--streaming`` block size, and exits non-zero on any digest
+mismatch, or when no round streamed more than one block (a match then
+proves nothing).
 """
 
 from __future__ import annotations
@@ -49,6 +43,7 @@ import json
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -90,59 +85,33 @@ def measure() -> dict:
     return _measure_tasks(_bench_graph())
 
 
-def measure_streaming() -> dict:
-    """p50 step milliseconds with the block-streaming kernel variants.
-
-    The benchmark graph is saved to a temporary CSR directory and
-    reopened memory-mapped; the streaming block size is forced down to
-    4096 arcs (~8 blocks per full-frontier round on this graph) so the
-    per-block expand/reduce/merge path is what gets timed.
-    """
+@contextmanager
+def _streamed(graph):
+    """``graph`` saved to a temporary CSR directory and reopened
+    memory-mapped, with the streaming block size forced down to 4096
+    arcs (~8 blocks per full-frontier round on the benchmark graph)."""
     import tempfile
 
     from repro.graph import csr as csr_mod
     from repro.graph.io import save_mapped
 
-    graph = _bench_graph()
     saved_min = csr_mod.MIN_STREAM_BLOCK_ARCS
     with tempfile.TemporaryDirectory() as tmp:
         mapped = save_mapped(graph, Path(tmp) / "kernel-bench.csr")
         csr_mod.MIN_STREAM_BLOCK_ARCS = 1 << 12
         csr_mod.configure_streaming(max_ram_bytes=1)  # clamp to the floor
         try:
-            return _measure_tasks(mapped, prefix="streaming.")
+            yield mapped
         finally:
             csr_mod.MIN_STREAM_BLOCK_ARCS = saved_min
             csr_mod.configure_streaming(None)
 
 
-#: Crossover forced for the parallel modes: the benchmark graph has
-#: ~32 K arcs, so the production ``DEFAULT_MIN_SHARD_CANDIDATES`` would
-#: keep every round serial and the sweep would measure nothing.
-PARALLEL_MIN_SHARD_CANDIDATES = 1 << 10
-
-#: Worker counts exercised by the blocking digest smoke.
-SMOKE_WORKER_COUNTS = (2, 4)
-
-
-def measure_parallel(worker_counts) -> dict:
-    """p50 step milliseconds with the sharded kernels at each count."""
-    from repro.perf import kernel_pool
-
-    graph = _bench_graph()
-    results = {}
-    try:
-        for workers in worker_counts:
-            kernel_pool.configure_kernel_workers(
-                workers,
-                min_shard_candidates=PARALLEL_MIN_SHARD_CANDIDATES,
-            )
-            results.update(
-                _measure_tasks(graph, prefix=f"parallel.w{workers}.")
-            )
-    finally:
-        kernel_pool.reset_kernel_pool()
-    return results
+def measure_streaming() -> dict:
+    """p50 step milliseconds with the frontier rounds streamed in
+    several blocks over a memory-mapped copy of the benchmark graph."""
+    with _streamed(_bench_graph()) as mapped:
+        return _measure_tasks(mapped, prefix="streaming.")
 
 
 def _digest_update(h, obj) -> None:
@@ -195,43 +164,46 @@ def _digest_tasks(graph) -> dict:
     return digests
 
 
-def run_parallel_smoke() -> int:
-    """Blocking check: sharded digests must equal the serial digests."""
-    from repro.perf import kernel_pool
+def run_block_smoke() -> int:
+    """Blocking check: multi-block digests must equal one-block digests."""
+    from repro.graph.csr import iter_frontier_blocks
+    from repro.tasks import bkhs, mssp
 
     graph = _bench_graph()
+    one_block = _digest_tasks(graph)
+    blocks_per_round = []
+
+    def counted(degrees, max_arcs):
+        blocks = list(iter_frontier_blocks(degrees, max_arcs))
+        blocks_per_round.append(len(blocks))
+        return iter(blocks)
+
+    modules = (mssp, bkhs)
+    for module in modules:
+        module.iter_frontier_blocks = counted
     try:
-        kernel_pool.reset_kernel_pool()
-        serial = _digest_tasks(graph)
-        failures = 0
-        for workers in SMOKE_WORKER_COUNTS:
-            kernel_pool.configure_kernel_workers(
-                workers, min_shard_candidates=1
-            )
-            before = kernel_pool.kernel_pool_stats()["sharded_dispatches"]
-            sharded = _digest_tasks(graph)
-            after = kernel_pool.kernel_pool_stats()["sharded_dispatches"]
-            for task_name, digest in sharded.items():
-                status = "ok" if digest == serial[task_name] else "MISMATCH"
-                print(
-                    f"workers={workers} {task_name}: serial "
-                    f"{serial[task_name]} vs sharded {digest} [{status}]"
-                )
-                failures += digest != serial[task_name]
-            if after <= before:
-                # A digest match proves nothing if the sharded path
-                # never actually dispatched.
-                print(
-                    f"workers={workers}: no sharded dispatches — the "
-                    "parallel path did not run"
-                )
-                failures += 1
+        with _streamed(graph) as mapped:
+            streamed = _digest_tasks(mapped)
     finally:
-        kernel_pool.reset_kernel_pool()
+        for module in modules:
+            module.iter_frontier_blocks = iter_frontier_blocks
+    failures = 0
+    for task_name, digest in streamed.items():
+        status = "ok" if digest == one_block[task_name] else "MISMATCH"
+        print(
+            f"{task_name}: one block {one_block[task_name]} vs "
+            f"streamed {digest} [{status}]"
+        )
+        failures += digest != one_block[task_name]
+    most = max(blocks_per_round, default=0)
+    print(f"most blocks in one streamed round: {most}")
+    if most <= 1:
+        print("no round streamed more than one block")
+        failures += 1
     if failures:
-        print(f"FAILED: {failures} parallel-kernel digest mismatches")
+        print(f"FAILED: {failures} block-split check(s)")
         return 1
-    print("all parallel-kernel digests byte-identical to serial")
+    print("all streamed digests byte-identical to one block")
     return 0
 
 
@@ -347,30 +319,19 @@ def main(argv=None) -> int:
         help="benchmark the block-streaming kernels (warn-only)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="benchmark the sharded kernels at these intra-task worker "
-        "counts (warn-only; keys parallel.wN.<task>)",
-    )
-    parser.add_argument(
-        "--parallel-smoke",
+        "--block-smoke",
         action="store_true",
-        help="blocking digest check: serial vs sharded kernels must "
-        "match byte for byte",
+        help="blocking digest check: streamed multi-block rounds must "
+        "match one-block rounds byte for byte",
     )
     args = parser.parse_args(argv)
 
     if args.crossover:
         return run_crossover()
-    if args.parallel_smoke:
-        return run_parallel_smoke()
+    if args.block_smoke:
+        return run_block_smoke()
 
-    if args.workers:
-        current = measure_parallel(args.workers)
-    elif args.streaming:
+    if args.streaming:
         current = measure_streaming()
     else:
         current = measure()
@@ -399,10 +360,9 @@ def main(argv=None) -> int:
         print(f"WARNING: {line}")
     if not warnings:
         print(f"all tasks within ±{TOLERANCE * 100:.0f}% of baseline")
-    if args.streaming or args.workers:
-        # The streaming and parallel comparisons are informational:
-        # overhead depends on the forced block size / host core count
-        # and page-cache state, so they never block.
+    if args.streaming:
+        # The streaming comparison is informational: overhead depends on
+        # the forced block size and page-cache state, so it never blocks.
         return 0
     return 1 if (warnings and args.strict) else 0
 

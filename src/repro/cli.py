@@ -18,8 +18,8 @@ Subcommands
     Run the online scheduling service on a seeded arrival stream.
 
 Shared flags (``--scale``, ``--seed``, ``--jobs``, ``--cache-dir``,
-``--max-retries``, ``--numa``, ``--max-ram``, ``--kernel-workers``,
-the setting flags, and the fault knobs)
+``--max-retries``, ``--numa``, ``--max-ram``, the setting flags, and
+the fault knobs)
 are declared once on common *parent parsers* and inherited by every
 subcommand that needs them, so a new subcommand can never drift out of
 sync with the rest of the CLI.
@@ -28,6 +28,7 @@ sync with the rest of the CLI.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -67,7 +68,10 @@ def _ram_budget(text: str) -> int:
         multiplier = _RAM_SUFFIXES[raw[-1]]
         raw = raw[:-1]
     try:
-        value = int(float(raw) * multiplier)
+        scaled = float(raw) * multiplier
+        if not math.isfinite(scaled):
+            raise ValueError(raw)
+        value = int(scaled)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid memory budget {text!r}; use bytes or a K/M/G/T "
@@ -133,17 +137,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "a memory-mapped CSR directory and processed with the "
         "block-streaming kernels; results are byte-identical",
     )
-    parser.add_argument(
-        "--kernel-workers",
-        type=_job_count,
-        default=0,
-        metavar="N",
-        help="intra-task worker threads for the sharded MSSP/BKHS/BPPR "
-        "kernels (row-sharded expand/reduce with a deterministic "
-        "winner-key merge); 0 or 1 = serial (default). Orthogonal to "
-        "--jobs, which parallelises across independent runs; results "
-        "are byte-identical at any worker count",
-    )
 
 
 def _add_setting(parser: argparse.ArgumentParser) -> None:
@@ -200,10 +193,6 @@ def _apply_runtime_knobs(args) -> None:
         from repro.perf import numa
 
         numa.configure_numa(mode=args.numa)
-    if getattr(args, "kernel_workers", None):
-        from repro.perf.kernel_pool import configure_kernel_workers
-
-        configure_kernel_workers(args.kernel_workers)
     max_ram = getattr(args, "max_ram", None)
     if max_ram is None:
         env = os.environ.get("REPRO_MAX_RAM", "").strip()
@@ -216,10 +205,6 @@ def _apply_runtime_knobs(args) -> None:
         from repro.graph.csr import configure_streaming
 
         configure_streaming(max_ram_bytes=max_ram)
-
-
-# Backwards-compatible alias (pre-NUMA name).
-_apply_cache_dir = _apply_runtime_knobs
 
 
 def _build_setting(args):
@@ -450,17 +435,8 @@ def cmd_report(args) -> int:
                 else ""
             )
         )
-    from repro.perf.kernel_pool import kernel_pool_stats
     from repro.perf.parallel import supervision_stats
 
-    pool_info = kernel_pool_stats()
-    if pool_info["sharded_dispatches"]:
-        print(
-            f"kernel pool: {pool_info['workers']} workers, "
-            f"{pool_info['sharded_dispatches']} sharded rounds "
-            f"({pool_info['shards_executed']} shards, "
-            f"{pool_info['serial_fallbacks']} serial fallbacks)"
-        )
     bench_path = str(Path(args.output).parent / "BENCH_perf.json")
     timings.write_json(
         bench_path,
@@ -474,7 +450,6 @@ def cmd_report(args) -> int:
             "numa": numa_info,
             "memory": mem_info,
             "supervision": supervision_stats(),
-            "kernel_pool": pool_info,
         },
     )
     print(f"wrote {bench_path} (wall {wall:.1f}s)")
@@ -569,7 +544,6 @@ def cmd_serve(args) -> int:
         max_queue=args.max_queue,
         shed_watermark=args.shed_watermark,
         drop_expired=args.drop_expired,
-        intra_workers=args.kernel_workers,
         routes=routes,
         tenant_quotas=_parse_kv_flags(
             args.tenant_quota, float, "--tenant-quota"
@@ -581,7 +555,6 @@ def cmd_serve(args) -> int:
         result_ttl_seconds=args.result_ttl,
         result_cache_bytes=args.result_cache_bytes,
         calibrate=args.calibrate,
-        cost_shares=args.cost_shares,
         cache_min_seconds=args.cache_min_seconds,
         tenant_cache_quotas=_parse_kv_flags(
             args.tenant_cache_quota, float, "--tenant-cache-quota"
@@ -925,14 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cost models, which refit when standardized residuals drift; "
         "fitted coefficients persist in the artifact cache so a warm "
         "restart skips probe training entirely",
-    )
-    p_srv.add_argument(
-        "--cost-shares",
-        action="store_true",
-        help="size kernel-worker shares from predicted batch seconds "
-        "and deadline slack instead of an even split (requires "
-        "--kernel-workers > 0); falls back to the even split when no "
-        "deadline or seconds model applies",
     )
     p_srv.add_argument(
         "--cache-min-seconds",

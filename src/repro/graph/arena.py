@@ -5,8 +5,7 @@ fresh set of candidate-length arrays (composite keys, gathered values,
 boundary masks, reduction outputs). On the steady state those arrays
 have near-constant sizes round over round, so the allocations — and the
 page faults that come with them — are pure overhead. :class:`ScratchArena`
-extends the grow-only ``arange`` trick of
-:class:`repro.graph.csr.FrontierScratch` into a general pool:
+pairs a grow-only cached ``arange`` with a general buffer pool:
 
 * **size-classed** — buffers live in power-of-two byte classes, so a
   request is served by any free buffer of its class regardless of dtype
@@ -24,13 +23,13 @@ The engine creates one arena per job and threads it through every
 kernel batch (:meth:`repro.tasks.base.TaskSpec.make_kernel`), so batch
 boundaries reuse the same pool too.
 
-The block-streaming kernels (memory-mapped graphs under a ``--max-ram``
-budget) call :meth:`new_round` once per *frontier block* rather than
-once per round: with ``KEEPALIVE = 2`` the pool's resident footprint
-stays at roughly two blocks' worth of buffers however many blocks a
-round streams — the arena is what makes the per-block working set a
-bound instead of a high-water mark. :meth:`pool_bytes` reports that
-footprint for the memory accounting (:mod:`repro.perf.memory`).
+The frontier kernels call :meth:`new_round` once per *frontier block*
+rather than once per round (an in-RAM graph is one block per round, a
+memory-mapped graph under a ``--max-ram`` budget streams several): with
+``KEEPALIVE = 2`` the pool's resident footprint stays at roughly two
+blocks' worth of buffers however many blocks a round streams — the
+arena is what makes the per-block working set a bound instead of a
+high-water mark. :meth:`pool_bytes` reports that footprint for the memory accounting (:mod:`repro.perf.memory`).
 """
 
 from __future__ import annotations
@@ -137,9 +136,8 @@ class ScratchArena:
 
     def arange(self, size: int) -> np.ndarray:
         """A ``[0, size)`` int64 arange view from a grow-only cached buffer
-        (the :class:`~repro.graph.csr.FrontierScratch` trick, kept
-        separate from the generational pool because its contents are
-        immutable and shared by every round)."""
+        (kept separate from the generational pool because its contents
+        are immutable and shared by every round)."""
         if self._iota.size < size:
             self._iota = np.arange(
                 max(size, 2 * self._iota.size), dtype=np.int64

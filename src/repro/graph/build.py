@@ -262,73 +262,9 @@ def build_csr_on_disk(
     shutil.rmtree(runs_dir, ignore_errors=True)
     os.makedirs(runs_dir)
 
-    from collections import deque
-
-    from repro.perf import kernel_pool
-
-    def spill_run(
-        src: np.ndarray,
-        dst: np.ndarray,
-        weights: Optional[np.ndarray],
-        run_id: int,
-    ) -> Optional[str]:
-        """Clean, sort, dedup and write one block as a sorted run.
-
-        Runs on a pool worker when ``--kernel-workers`` is set (each
-        call touches only its own arrays and its own run file, and the
-        big sorts release the GIL); the run file bytes are identical
-        either way, so the downstream merge — and the finished CSR —
-        cannot tell how the runs were produced.
-        """
-        if src.min() < 0 or dst.min() < 0:
-            raise GraphFormatError("vertex ids must be non-negative")
-        if max(int(src.max()), int(dst.max())) >= num_vertices:
-            raise GraphFormatError(
-                "edge endpoint out of range for num_vertices"
-            )
-        if drop_self_loops:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-            if weights is not None:
-                weights = weights[keep]
-        if not directed and src.size:
-            src, dst, weights = _symmetrise(src, dst, weights)
-        if src.size == 0:
-            return None
-        keys = src * np.int64(num_vertices) + dst
-        base = os.path.join(runs_dir, f"run-{run_id:06d}")
-        if weights is None:
-            np.save(base + "-keys.npy", unique_sorted(keys))
-        else:
-            order = np.lexsort((weights, keys))
-            keys_sorted = keys[order]
-            first = np.empty(keys.size, dtype=bool)
-            first[0] = True
-            np.not_equal(
-                keys_sorted[1:], keys_sorted[:-1], out=first[1:]
-            )
-            np.save(base + "-keys.npy", keys_sorted[first])
-            np.save(base + "-weights.npy", weights[order][first])
-        return base
-
     weighted: Optional[bool] = None
     run_paths = []
     try:
-        # Generation stays serial in the parent — the seeded RNG stream
-        # must advance in block order — but the heavy half of each block
-        # (clean + symmetrise + sort + spill) is independent of every
-        # other block until the external merge, so with a kernel pool
-        # it overlaps both the generator and sibling blocks, bounded at
-        # workers + 1 blocks in flight to respect the build budget.
-        pool = kernel_pool.get_pool()
-        pending: "deque" = deque()
-
-        def drain(limit: int) -> None:
-            while len(pending) > limit:
-                base = pending.popleft().result()
-                if base is not None:
-                    run_paths.append(base)
-
         for run_id, block in enumerate(blocks):
             src, dst = block[0], block[1]
             weights = block[2] if len(block) > 2 else None
@@ -350,24 +286,36 @@ def build_csr_on_disk(
                 )
             if src.size == 0:
                 continue
-            if pool is None:
-                base = spill_run(src, dst, weights, run_id)
-                if base is not None:
-                    run_paths.append(base)
-            else:
-                # Copy before queuing: generators may reuse their block
-                # buffers once the loop asks for the next block.
-                src, dst = src.copy(), dst.copy()
-                weights = None if weights is None else weights.copy()
-                pending.append(
-                    pool.submit(
-                        lambda s=src, d=dst, w=weights, r=run_id: spill_run(
-                            s, d, w, r
-                        )
-                    )
+            if src.min() < 0 or dst.min() < 0:
+                raise GraphFormatError("vertex ids must be non-negative")
+            if max(int(src.max()), int(dst.max())) >= num_vertices:
+                raise GraphFormatError(
+                    "edge endpoint out of range for num_vertices"
                 )
-                drain(pool.workers + 1)
-        drain(0)
+            if drop_self_loops:
+                keep = src != dst
+                src, dst = src[keep], dst[keep]
+                if weights is not None:
+                    weights = weights[keep]
+            if not directed and src.size:
+                src, dst, weights = _symmetrise(src, dst, weights)
+            if src.size == 0:
+                continue
+            keys = src * np.int64(num_vertices) + dst
+            base = os.path.join(runs_dir, f"run-{run_id:06d}")
+            if weights is None:
+                np.save(base + "-keys.npy", unique_sorted(keys))
+            else:
+                order = np.lexsort((weights, keys))
+                keys_sorted = keys[order]
+                first = np.empty(keys.size, dtype=bool)
+                first[0] = True
+                np.not_equal(
+                    keys_sorted[1:], keys_sorted[:-1], out=first[1:]
+                )
+                np.save(base + "-keys.npy", keys_sorted[first])
+                np.save(base + "-weights.npy", weights[order][first])
+            run_paths.append(base)
 
         weighted = bool(weighted)
         counts = np.zeros(num_vertices, dtype=np.int64)

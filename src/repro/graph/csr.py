@@ -307,28 +307,6 @@ class Graph:
 # ----------------------------------------------------------------------
 
 
-class FrontierScratch:
-    """Reusable buffers for :func:`expand_frontier` across rounds.
-
-    Holds a grow-only cached ``arange`` so per-round expansion skips the
-    (measurably hot) ``np.arange`` allocation. The slices handed out are
-    read-only views: consume them before requesting a larger size.
-    """
-
-    __slots__ = ("_iota",)
-
-    def __init__(self) -> None:
-        self._iota = np.empty(0, dtype=np.int64)
-
-    def arange(self, size: int) -> np.ndarray:
-        """A ``[0, size)`` arange view from the grow-only cached buffer."""
-        if self._iota.size < size:
-            self._iota = np.arange(
-                max(size, 2 * self._iota.size), dtype=np.int64
-            )
-        return self._iota[:size]
-
-
 def expand_frontier(
     graph: Graph,
     verts: np.ndarray,
@@ -336,8 +314,8 @@ def expand_frontier(
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Expand frontier vertices to all their out-arcs (vectorised gather).
 
-    ``scratch`` is anything exposing ``arange(size)`` — the legacy
-    :class:`FrontierScratch` or a :class:`repro.graph.arena.ScratchArena`.
+    ``scratch`` is anything exposing ``arange(size)``, normally a
+    :class:`repro.graph.arena.ScratchArena`.
 
     Returns ``(arc_positions, counts, kept)``:
 
@@ -538,9 +516,6 @@ def propagate_mass(graph: Graph, per_vertex: np.ndarray) -> np.ndarray:
         return _propagate_mass_streaming(graph, per_vertex, block_arcs)
     op = _spread_operator(graph)
     if op is not None:
-        shards = kernel_shards(graph.num_arcs)
-        if shards > 1:
-            return _propagate_mass_sharded(op, per_vertex, shards)
         return op @ per_vertex
     per_arc = np.repeat(per_vertex, graph.degrees)
     return np.bincount(
@@ -554,10 +529,11 @@ def propagate_mass(graph: Graph, per_vertex: np.ndarray) -> np.ndarray:
 # When the CSR arrays are ``np.memmap`` views over an on-disk file set
 # (:class:`repro.graph.io.MappedGraph`), the kernels must not gather or
 # repeat O(m) at once: the block helpers below walk the CSR in row
-# blocks whose arc totals respect the ``--max-ram`` budget, and the
-# streaming kernel variants reduce block-by-block with results that are
-# bit-identical to the monolithic paths (the accompanying docstrings
-# argue why per reduction; ``tests/graph/test_mmap.py`` asserts it).
+# blocks whose arc totals respect the ``--max-ram`` budget. The
+# frontier kernels run one block body per round for every graph: an
+# in-RAM graph is a single block, a mapped graph streams budget-sized
+# blocks, and every split is bit-identical to the single block (the
+# kernel docstrings argue why per reduction; the task tests assert it).
 # Vertex-proportional state (degrees, distance tables, rank vectors)
 # stays resident — the same semi-streaming model as the paper's GraphD,
 # which keeps O(n) vertex state in memory and streams the O(m) edges.
@@ -597,7 +573,8 @@ def streaming_budget_bytes() -> Optional[int]:
 
 def streaming_block_arcs(graph: Graph) -> Optional[int]:
     """Arcs per streaming block for ``graph``, or ``None`` for in-RAM
-    graphs (the monolithic fast paths run unchanged)."""
+    graphs (one block covers the whole frontier, see
+    :func:`iter_frontier_blocks`)."""
     if not graph.mapped:
         return None
     budget = _STREAMING["max_ram_bytes"] or DEFAULT_STREAM_BUDGET_BYTES
@@ -622,12 +599,16 @@ def iter_row_blocks(
 
 
 def iter_frontier_blocks(
-    degrees: np.ndarray, max_arcs: int
+    degrees: np.ndarray, max_arcs: Optional[int]
 ) -> Iterator[Tuple[int, int]]:
     """Yield ``(lo, hi)`` frontier slices whose summed out-degree stays
-    under ``max_arcs`` (at least one entry per block)."""
+    under ``max_arcs`` (at least one entry per block); ``max_arcs=None``
+    yields one block covering the whole frontier."""
     size = degrees.size
     if size == 0:
+        return
+    if max_arcs is None:
+        yield 0, size
         return
     bounds = np.cumsum(degrees, dtype=np.int64)
     lo = 0
@@ -667,71 +648,6 @@ def _propagate_mass_streaming(
     return out
 
 
-def segment_min_streaming(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    num_cols: int,
-    block_size: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chunked :func:`segment_min`: reduce ``block_size`` candidates at
-    a time and fold each chunk's per-cell minima into a running sorted
-    accumulator. ``min`` is order-independent, so the result is
-    bit-identical to the monolithic reduction regardless of chunking.
-    """
-    if rows.size <= block_size:
-        return segment_min(rows, cols, values, num_cols)
-    acc_keys: Optional[np.ndarray] = None
-    acc_vals: Optional[np.ndarray] = None
-    for start in range(0, rows.size, block_size):
-        stop = start + block_size
-        c_rows, c_cols, c_min = segment_min(
-            rows[start:stop], cols[start:stop], values[start:stop], num_cols
-        )
-        keys = c_rows * np.int64(num_cols) + c_cols
-        if acc_keys is None:
-            acc_keys, acc_vals = keys, c_min
-            continue
-        acc_keys, acc_vals = _merge_reduce(
-            acc_keys, acc_vals, keys, c_min, np.minimum
-        )
-    cell_rows, cell_cols = np.divmod(acc_keys, np.int64(num_cols))
-    return cell_rows, cell_cols, acc_vals
-
-
-def segment_sum_streaming(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    num_cols: int,
-    block_size: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chunked :func:`segment_sum` with the same exactness regime as the
-    monolithic reduction: per-cell sums of all-ones (walk counts) or
-    size-one cells are bit-identical; arbitrary float mixes can differ
-    in the last ulp across chunk boundaries (float addition is not
-    associative), mirroring the documented ``reduceat`` caveat.
-    """
-    if rows.size <= block_size:
-        return segment_sum(rows, cols, values, num_cols)
-    acc_keys = None
-    acc_vals = None
-    for start in range(0, rows.size, block_size):
-        stop = start + block_size
-        c_rows, c_cols, c_sum = segment_sum(
-            rows[start:stop], cols[start:stop], values[start:stop], num_cols
-        )
-        keys = c_rows * np.int64(num_cols) + c_cols
-        if acc_keys is None:
-            acc_keys, acc_vals = keys, c_sum
-            continue
-        acc_keys, acc_vals = _merge_reduce(
-            acc_keys, acc_vals, keys, c_sum, np.add
-        )
-    cell_rows, cell_cols = np.divmod(acc_keys, np.int64(num_cols))
-    return cell_rows, cell_cols, acc_vals
-
-
 def _merge_reduce(
     keys_a: np.ndarray,
     vals_a: np.ndarray,
@@ -741,7 +657,7 @@ def _merge_reduce(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Merge two sorted-unique ``(keys, values)`` runs, combining values
     of shared keys with ``ufunc.reduceat`` (accumulator values first,
-    preserving left-to-right accumulation across chunks)."""
+    preserving left-to-right accumulation across blocks)."""
     keys = np.concatenate([keys_a, keys_b])
     vals = np.concatenate([vals_a, vals_b])
     order = np.argsort(keys, kind="stable")
@@ -752,169 +668,6 @@ def _merge_reduce(
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
     return keys[starts], ufunc.reduceat(vals, starts)
-
-
-# ----------------------------------------------------------------------
-# Intra-task sharding (repro.perf.kernel_pool)
-#
-# The sharded variants below cut the candidate list into contiguous
-# shards, reduce each shard on the persistent pinned thread pool, and
-# fold the per-shard results with :func:`_merge_reduce` in shard order —
-# exactly the accumulation the block-streaming kernels perform, so the
-# byte-identity arguments carry over verbatim: ``min`` is
-# order-independent (any split is bit-identical), and ``sum`` keeps the
-# documented exactness regime (all-ones walk counts or size-one cells).
-# The kernel_pool import stays lazy so serial processes never pay for —
-# or even load — the pool machinery.
-# ----------------------------------------------------------------------
-
-
-def kernel_shards(num_candidates: int) -> int:
-    """Shard count for ``num_candidates`` in-flight arcs — 1 (serial)
-    unless :mod:`repro.perf.kernel_pool` has been imported *and*
-    configured with workers, so untouched processes pay one dict
-    lookup, nothing else."""
-    import sys
-
-    pool_mod = sys.modules.get("repro.perf.kernel_pool")
-    if pool_mod is None:
-        return 1
-    return pool_mod.choose_shards(num_candidates)
-
-
-def segment_min_sharded(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    num_cols: int,
-    shards: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`segment_min` over candidate shards run in parallel.
-
-    Each contiguous shard reduces independently (fresh buffers — shard
-    workers never share an arena), then the sorted-unique runs fold left
-    to right with ``np.minimum``. Bit-identical to the monolithic
-    reduction at any shard count: per-cell minima of shard minima equal
-    the global minima, and the fold emits cells in row-major order.
-    """
-    if shards <= 1 or rows.size == 0:
-        return segment_min(rows, cols, values, num_cols)
-    from repro.perf import kernel_pool
-
-    ranges = [
-        (rows.size * k // shards, rows.size * (k + 1) // shards)
-        for k in range(shards)
-    ]
-    results = kernel_pool.run_sharded(
-        [
-            (
-                lambda lo=lo, hi=hi: segment_min(
-                    rows[lo:hi], cols[lo:hi], values[lo:hi], num_cols
-                )
-            )
-            for lo, hi in ranges
-            if hi > lo
-        ]
-    )
-    return _fold_segments(results, num_cols, np.minimum)
-
-
-def segment_sum_sharded(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    num_cols: int,
-    shards: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`segment_sum` over candidate shards run in parallel.
-
-    Same exactness regime as :func:`segment_sum_streaming`: all-ones
-    walk counts and size-one cells are bit-identical at any shard
-    count; arbitrary float mixes can differ in the last ulp across
-    shard boundaries (float addition is not associative).
-    """
-    if shards <= 1 or rows.size == 0:
-        return segment_sum(rows, cols, values, num_cols)
-    from repro.perf import kernel_pool
-
-    ranges = [
-        (rows.size * k // shards, rows.size * (k + 1) // shards)
-        for k in range(shards)
-    ]
-    results = kernel_pool.run_sharded(
-        [
-            (
-                lambda lo=lo, hi=hi: segment_sum(
-                    rows[lo:hi], cols[lo:hi], values[lo:hi], num_cols
-                )
-            )
-            for lo, hi in ranges
-            if hi > lo
-        ]
-    )
-    return _fold_segments(results, num_cols, np.add)
-
-
-def _fold_segments(
-    results, num_cols: int, ufunc
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold per-shard ``(rows, cols, values)`` reductions in shard order."""
-    acc_keys: Optional[np.ndarray] = None
-    acc_vals: Optional[np.ndarray] = None
-    for c_rows, c_cols, c_vals in results:
-        if c_rows.size == 0:
-            continue
-        keys = c_rows * np.int64(num_cols) + c_cols
-        if acc_keys is None:
-            acc_keys, acc_vals = keys, c_vals
-        else:
-            acc_keys, acc_vals = _merge_reduce(
-                acc_keys, acc_vals, keys, c_vals, ufunc
-            )
-    if acc_keys is None:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=np.float64)
-    cell_rows, cell_cols = np.divmod(acc_keys, np.int64(num_cols))
-    return cell_rows, cell_cols, acc_vals
-
-
-def _propagate_mass_sharded(op, per_vertex: np.ndarray, shards: int):
-    """Row-sharded CSR matvec for :func:`propagate_mass`.
-
-    The reverse operator's rows are independent dot products, so
-    splitting the *output* rows across pool workers is embarrassingly
-    parallel and bit-identical: each sub-operator row holds exactly the
-    bytes of the full operator's row, and scipy's per-row sequential
-    accumulation computes the identical sum. Sub-operators are sliced
-    once per (operator, shard count) and cached on the operator object.
-    """
-    from repro.perf import kernel_pool
-
-    cache = getattr(op, "_repro_row_shards", None)
-    if cache is None:
-        cache = {}
-        op._repro_row_shards = cache
-    subops = cache.get(shards)
-    if subops is None:
-        in_deg = np.diff(op.indptr)
-        subops = [
-            (lo, hi, op[lo:hi])
-            for lo, hi in kernel_pool.shard_bounds(in_deg, shards)
-            if hi > lo
-        ]
-        cache[shards] = subops
-    out = np.empty(op.shape[0], dtype=np.float64)
-
-    def matvec(lo: int, hi: int, subop) -> None:
-        out[lo:hi] = subop @ per_vertex
-
-    kernel_pool.run_sharded(
-        [
-            (lambda lo=lo, hi=hi, subop=subop: matvec(lo, hi, subop))
-            for lo, hi, subop in subops
-        ]
-    )
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Performance subsystem: artifact caching, parallel fan-out, timings.
 
-Three coordinated layers added on top of the simulator:
+Four coordinated layers added on top of the simulator:
 
 * :mod:`repro.perf.cache` — a content-addressed artifact cache
   (in-memory LRU + optional on-disk ``.npz`` store) shared by dataset
@@ -16,10 +16,6 @@ Three coordinated layers added on top of the simulator:
   (``--numa {auto,off,replicate,interleave}``), with named
   :class:`~repro.perf.numa.NumaWarning` fallbacks on platforms that
   cannot pin.
-* :mod:`repro.perf.kernel_pool` — the persistent NUMA-pinned thread
-  pool for *intra-task* kernel sharding (``--kernel-workers``):
-  row-sharded expand/reduce rounds with a deterministic winner-key
-  merge, byte-identical to the serial path at any worker count.
 """
 
 from repro.perf import timings
@@ -30,12 +26,6 @@ from repro.perf.cache import (
     clear_cache,
     configure_cache,
     get_cache,
-)
-from repro.perf.kernel_pool import (
-    configure_kernel_workers,
-    kernel_pool_stats,
-    kernel_workers,
-    reset_kernel_pool,
 )
 from repro.perf.numa import (
     NumaNode,
@@ -65,12 +55,8 @@ __all__ = [
     "NumaWarning",
     "clear_cache",
     "configure_cache",
-    "configure_kernel_workers",
     "configure_numa",
     "get_cache",
-    "kernel_pool_stats",
-    "kernel_workers",
-    "reset_kernel_pool",
     "numa_mode",
     "numa_stats",
     "parallel_map",

@@ -51,7 +51,6 @@ from repro.engines.base import (
 from repro.errors import RecoveryError, SchedulingError
 from repro.faults.recovery import OverloadRecovery
 from repro.graph.csr import Graph, streaming_budget_bytes
-from repro.perf import kernel_pool
 from repro.perf.cache import ResultCache
 from repro.rng import SeedLike
 from repro.sched.admission import AdmissionController
@@ -222,7 +221,6 @@ class SchedulerService:
         self._cache_skips = 0
         use_calibrators = (
             self.policy.calibrate
-            or self.policy.cost_shares
             or self.policy.cache_min_seconds is not None
         )
         if use_calibrators:
@@ -348,72 +346,6 @@ class SchedulerService:
                 session.calibrator = self.calibrators.get(kind)
             self.sessions[kind] = session
         return self.sessions[kind]
-
-    def _cost_worker_share(
-        self,
-        inflight: "_InFlight",
-        concurrent_sessions: int,
-        clock: float,
-    ) -> int:
-        """Cost-driven share (``policy.cost_shares``): interpolate from
-        the even split toward the full pool as deadline pressure grows.
-
-        Pressure is the batch's predicted seconds over the tightest
-        member deadline's slack — a batch predicted to take as long as
-        (or longer than) its slack gets the whole pool; a batch with
-        generous slack (or no deadline, or no fitted seconds model)
-        keeps the even split.
-        """
-        even = self.policy.worker_share(concurrent_sessions)
-        calibrator = self.calibrators.get(inflight.kind)
-        if calibrator is None:
-            return even
-        predicted = calibrator.predict_seconds(inflight.batch_units)
-        if predicted is None:
-            return even
-        deadlines = [
-            pending.request.deadline_at
-            for pending, _ in inflight.parts
-            if pending.request.deadline_at is not None
-        ]
-        if not deadlines:
-            return even
-        slack = min(deadlines) - clock
-        if slack <= 0:
-            pressure = 1.0
-        else:
-            pressure = min(1.0, predicted / slack)
-        total = self.policy.intra_workers
-        share = even + (total - even) * pressure
-        return max(1, min(total, int(round(share))))
-
-    def _apply_worker_share(
-        self,
-        concurrent_sessions: int,
-        inflight: Optional["_InFlight"] = None,
-        clock: float = 0.0,
-    ) -> int:
-        """Split the intra-task kernel pool across in-flight sessions.
-
-        Called at every dispatch point (batch start and resume) with the
-        number of sessions concurrently in flight — the one about to run
-        plus any still suspended at a barrier. When the policy grants no
-        workers (``intra_workers == 0``, the default) the kernel-pool
-        configuration is never touched, so schedules stay byte-identical
-        to the pre-parallel service. With ``policy.cost_shares``, the
-        dispatched batch's share is sized from its predicted seconds and
-        deadline slack instead of the even split. Returns the share
-        applied (0 when the policy grants none).
-        """
-        if self.policy.cost_shares and inflight is not None:
-            share = self._cost_worker_share(
-                inflight, concurrent_sessions, clock
-            )
-        else:
-            share = self.policy.worker_share(concurrent_sessions)
-        if self.policy.intra_workers > 0:
-            kernel_pool.configure_kernel_workers(share)
-        return share
 
     def _streaming_unit_cap(self) -> Optional[float]:
         """Largest batch the ``--max-ram`` streaming budget can hold in
@@ -968,9 +900,6 @@ class SchedulerService:
                 callback = self._preempt_callback(
                     inflight, clock, arrivals, queue, metrics
                 )
-                share = self._apply_worker_share(
-                    1 + len(suspended), inflight=inflight, clock=clock
-                )
                 result = session.run_batch(
                     inflight.batch_units, should_suspend=callback
                 )
@@ -980,9 +909,6 @@ class SchedulerService:
                 metrics.resumes += 1
                 callback = self._preempt_callback(
                     inflight, clock, arrivals, queue, metrics
-                )
-                share = self._apply_worker_share(
-                    1 + len(suspended), inflight=inflight, clock=clock
                 )
                 result = session.resume(should_suspend=callback)
 
@@ -1144,11 +1070,6 @@ class SchedulerService:
                     else 0.0
                 ),
             }
-            if self.policy.intra_workers > 0:
-                # Share applied to the batch's final segment; omitted
-                # entirely when the policy grants no workers so the
-                # legacy batch-log shape is byte-identical.
-                entry["intra_workers"] = share
             if self.admission.tenant_quotas is not None:
                 entry["tenants"] = dict(inflight.tenant_units)
             if self.record_rounds:

@@ -20,7 +20,7 @@ import tempfile
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class TaskKernel(ABC):
         self.graph = graph
         self.router = router
         self.arena = ScratchArena()
-        self._shard_arenas: List[ScratchArena] = []
         #: whether the engine reads ``RoundSummary.combined_messages``.
         self.combining = False
         self._started = False
@@ -192,20 +191,6 @@ class TaskKernel(ABC):
         return self._finished
 
     # -- helpers for subclasses -----------------------------------------
-    def shard_arenas(self, count: int) -> List[ScratchArena]:
-        """Per-shard scratch arenas for intra-task parallel rounds.
-
-        Grown lazily and reused round over round, so sharded steady
-        state allocates nothing — the same contract as ``self.arena``,
-        one pool per shard slot. Shard workers must never share an
-        arena (or touch ``self.arena``): the pool free-lists are not
-        thread-safe, and per-shard ownership is what keeps them
-        contention-free without locks.
-        """
-        while len(self._shard_arenas) < count:
-            self._shard_arenas.append(ScratchArena())
-        return self._shard_arenas[:count]
-
     def route_emissions(
         self,
         vertex_ids: np.ndarray,

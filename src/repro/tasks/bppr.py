@@ -36,10 +36,9 @@ from repro.graph.csr import (
     Graph,
     propagate_mass,
     segment_sum,
-    segment_sum_sharded,
 )
 from repro.messages.routing import MessageRouter
-from repro.perf import kernel_pool, timings
+from repro.perf import timings
 from repro.tasks.base import (
     RoundSummary,
     TaskKernel,
@@ -312,30 +311,15 @@ class BPPRKernel(TaskKernel):
         if stopping.size:
             # Segment reduction instead of the unbuffered np.add.at
             # scatter: per-cell counts are exact integers, so summation
-            # order cannot change the result — which also licenses the
-            # sharded variant below (shard partial counts sum exactly).
+            # order cannot change the result.
             tick = perf_counter()
-            shards = (
-                kernel_pool.choose_shards(stopping.size)
-                if kernel_pool.kernel_workers() > 1
-                else 1
+            stop_rows, stop_cols, stop_sums = segment_sum(
+                self._src[stopping],
+                self._cur[stopping],
+                np.ones(stopping.size, dtype=np.float64),
+                self.graph.num_vertices,
+                self.arena,
             )
-            if shards > 1:
-                stop_rows, stop_cols, stop_sums = segment_sum_sharded(
-                    self._src[stopping],
-                    self._cur[stopping],
-                    np.ones(stopping.size, dtype=np.float64),
-                    self.graph.num_vertices,
-                    shards,
-                )
-            else:
-                stop_rows, stop_cols, stop_sums = segment_sum(
-                    self._src[stopping],
-                    self._cur[stopping],
-                    np.ones(stopping.size, dtype=np.float64),
-                    self.graph.num_vertices,
-                    self.arena,
-                )
             self._stop_counts[stop_rows, stop_cols] += stop_sums
             timings.add("kernel.reduce", perf_counter() - tick)
         self._alive[stopping] = False

@@ -36,7 +36,7 @@ from repro.graph.csr import (
     use_dense_cells,
 )
 from repro.messages.routing import MessageRouter
-from repro.perf import kernel_pool, timings
+from repro.perf import timings
 from repro.tasks.base import (
     RoundSummary,
     TaskKernel,
@@ -87,112 +87,11 @@ class MSSPKernel(TaskKernel):
     def _advance(self) -> RoundSummary:
         graph = self.graph
         block_arcs = streaming_block_arcs(graph)
-        if block_arcs is not None:
-            return self._advance_streaming(block_arcs)
-        if kernel_pool.kernel_workers() > 1:
-            shards = kernel_pool.choose_shards(
-                int(self._degrees[self._frontier_verts].sum())
-            )
-            if shards > 1:
-                return self._advance_parallel(shards)
-        if graph.weights is None:
+        if block_arcs is None and graph.weights is None:
             adjacency = adjacency_operator(graph)
             if adjacency is not None:
                 return self._advance_unweighted(adjacency)
-        arena = self.arena
-        arena.new_round()
-        rows, verts = self._frontier_rows, self._frontier_verts
-
-        # Expand every frontier pair to all out-neighbours (shared
-        # CSR gather, arena buffers reused across rounds).
-        tick = perf_counter()
-        arc_pos, counts, kept = expand_frontier(graph, verts, arena)
-        if arc_pos.size == 0:
-            return self._summary_for(
-                np.empty(0, dtype=np.int64), np.empty(0), done=True
-            )
-        src_rows = rows if kept is None else rows[kept]
-        src_verts = verts if kept is None else verts[kept]
-        nbr = np.take(graph.indices, arc_pos, out=arena.take(arc_pos.size))
-        msg_rows = np.repeat(src_rows, counts)
-        cand = np.repeat(self._dist[src_rows, src_verts], counts)
-        if graph.weights is not None:
-            weights = np.take(
-                graph.weights, arc_pos, out=arena.take(arc_pos.size, np.float64)
-            )
-            cand += weights
-        else:
-            cand += 1.0
-        timings.add("kernel.expand", perf_counter() - tick)
-
-        # In-round aggregation: keep the minimum per (source, target)
-        # cell. The strategy pivots on the shared measured crossover
-        # (:func:`use_dense_cells`): big frontiers amortise the fused
-        # flat-key scatter straight into the distance matrix, sparse
-        # ones win with the sort-based segment reduction. Both emit
-        # cells in row-major order and both produce bit-identical
-        # distance tables (min is order-independent).
-        n = graph.num_vertices
-        if use_dense_cells(msg_rows.size, self._pair_mask.size):
-            tick = perf_counter()
-            cells, before, best = scatter_min_dense(
-                msg_rows, nbr, cand, self._dist, self._pair_mask, arena
-            )
-            improved = best < before
-            tock = perf_counter()
-            timings.add("kernel.reduce", tock - tick)
-            # The scatter already wrote the minima in place; only the
-            # frontier coordinates remain to be derived.
-            if improved.any():
-                winners = cells if improved.all() else cells[improved]
-                self._frontier_rows = np.floor_divide(
-                    winners, np.int64(n), out=arena.take(winners.size)
-                )
-                self._frontier_verts = np.remainder(
-                    winners, np.int64(n), out=arena.take(winners.size)
-                )
-                done = self._round >= self.max_rounds
-            else:
-                self._frontier_rows = np.empty(0, dtype=np.int64)
-                self._frontier_verts = np.empty(0, dtype=np.int64)
-                done = True
-            timings.add("kernel.frontier", perf_counter() - tock)
-        else:
-            tick = perf_counter()
-            cell_rows, cell_verts, best = segment_min(
-                msg_rows, nbr, cand, n, arena
-            )
-            current = self._dist[cell_rows, cell_verts]
-            improved = best < current
-            tock = perf_counter()
-            timings.add("kernel.reduce", tock - tick)
-            if improved.any():
-                if improved.all():
-                    # Every touched cell improved: the unique-cell
-                    # arrays already are the next frontier
-                    # (arena-backed: valid through the next round by
-                    # the keepalive contract).
-                    self._dist[cell_rows, cell_verts] = best
-                    self._frontier_rows = cell_rows
-                    self._frontier_verts = cell_verts
-                else:
-                    improved_rows = cell_rows[improved]
-                    improved_verts = cell_verts[improved]
-                    self._dist[improved_rows, improved_verts] = best[improved]
-                    self._frontier_rows = improved_rows
-                    self._frontier_verts = improved_verts
-                done = self._round >= self.max_rounds
-            else:
-                self._frontier_rows = np.empty(0, dtype=np.int64)
-                self._frontier_verts = np.empty(0, dtype=np.int64)
-                done = True
-            timings.add("kernel.frontier", perf_counter() - tock)
-
-        # Emission accounting for *this* round's sends.
-        updates_per_vertex = np.bincount(
-            verts, minlength=graph.num_vertices
-        ).astype(np.float64)
-        return self._summary_for(verts, updates_per_vertex, done)
+        return self._advance_blocks(block_arcs)
 
     def _advance_unweighted(self, adjacency) -> RoundSummary:
         """Unweighted round as one boolean sparse product (a BFS level).
@@ -257,140 +156,23 @@ class MSSPKernel(TaskKernel):
         )
         return self._summary_for(verts, updates_per_vertex, done)
 
-    def _advance_parallel(self, shards: int) -> RoundSummary:
-        """Row-sharded round on the intra-task kernel pool.
-
-        The frontier is cut into contiguous shards of roughly equal
-        out-degree (:func:`repro.perf.kernel_pool.shard_bounds`); each
-        shard expands and segment-reduces into its *own* scratch arena
-        against the round-start distance snapshot — no shard writes
-        shared state while siblings read — and returns copied winner
-        keys + minima. The parent then folds the per-shard minima into
-        the distance table with ``np.minimum`` in shard order and
-        sort-dedups the winner keys. Bit-identical to the monolithic
-        round at any shard count: ``min`` is order-independent and
-        exact, a cell improves against the round-start value iff it
-        improves overall (so the shard-union *is* the monolithic
-        improved set), and the key merge restores row-major frontier
-        order — the same winner-key semantics the block-streaming path
-        proved out.
-        """
-        graph = self.graph
-        n = graph.num_vertices
-        rows, verts = self._frontier_rows, self._frontier_verts
-        tick = perf_counter()
-        # Snapshot before any scatter: shard K's updates must not feed
-        # shard J's candidate values (the monolithic path reads every
-        # candidate before writing).
-        source_dist = self._dist[rows, verts]
-        bounds = [
-            (lo, hi)
-            for lo, hi in kernel_pool.shard_bounds(
-                self._degrees[verts], shards
-            )
-            if hi > lo
-        ]
-        arenas = self.shard_arenas(len(bounds))
-
-        def run_shard(lo: int, hi: int, arena) -> object:
-            # Thread body: touches only its slice, its arena, and
-            # read-only shared state (graph CSR, dist snapshot rows).
-            # No timings here — the phase accumulators are not
-            # thread-safe; the parent times the whole dispatch.
-            blk_rows = rows[lo:hi]
-            blk_verts = verts[lo:hi]
-            blk_dist = source_dist[lo:hi]
-            arena.new_round()
-            arc_pos, counts, kept = expand_frontier(graph, blk_verts, arena)
-            if arc_pos.size == 0:
-                return None
-            src_rows = blk_rows if kept is None else blk_rows[kept]
-            src_dist = blk_dist if kept is None else blk_dist[kept]
-            nbr = np.take(
-                graph.indices, arc_pos, out=arena.take(arc_pos.size)
-            )
-            msg_rows = np.repeat(src_rows, counts)
-            cand = np.repeat(src_dist, counts)
-            if graph.weights is not None:
-                weights = np.take(
-                    graph.weights,
-                    arc_pos,
-                    out=arena.take(arc_pos.size, np.float64),
-                )
-                cand += weights
-            else:
-                cand += 1.0
-            cell_rows, cell_verts, best = segment_min(
-                msg_rows, nbr, cand, n, arena
-            )
-            current = self._dist[cell_rows, cell_verts]
-            improved = best < current
-            if not improved.any():
-                return False
-            # Boolean indexing copies out of the shard arena, so the
-            # keys and minima survive past the thunk.
-            keys = cell_rows[improved] * np.int64(n) + cell_verts[improved]
-            return keys, best[improved]
-
-        results = kernel_pool.run_sharded(
-            [
-                (lambda lo=lo, hi=hi, arena=arena: run_shard(lo, hi, arena))
-                for (lo, hi), arena in zip(bounds, arenas)
-            ]
-        )
-        tock = perf_counter()
-        timings.add("kernel.expand", tock - tick)
-        if all(res is None for res in results):
-            return self._summary_for(
-                np.empty(0, dtype=np.int64), np.empty(0), done=True
-            )
-        winner_lists = []
-        for res in results:
-            if not res:
-                continue
-            keys, best = res
-            srows, sverts = np.divmod(keys, np.int64(n))
-            # Per-shard minima can overlap across shards; folding with
-            # ``np.minimum`` in shard order is order-independent and
-            # lands exactly the global per-cell minimum.
-            self._dist[srows, sverts] = np.minimum(
-                self._dist[srows, sverts], best
-            )
-            winner_lists.append(keys)
-        tick = perf_counter()
-        timings.add("kernel.reduce", tick - tock)
-        if winner_lists:
-            if len(winner_lists) == 1:
-                keys = winner_lists[0]  # row-major within a shard already
-            else:
-                keys = unique_sorted(np.concatenate(winner_lists))
-            self._frontier_rows, self._frontier_verts = np.divmod(
-                keys, np.int64(n)
-            )
-            done = self._round >= self.max_rounds
-        else:
-            self._frontier_rows = np.empty(0, dtype=np.int64)
-            self._frontier_verts = np.empty(0, dtype=np.int64)
-            done = True
-        timings.add("kernel.frontier", perf_counter() - tick)
-        updates_per_vertex = np.bincount(verts, minlength=n).astype(
-            np.float64
-        )
-        return self._summary_for(verts, updates_per_vertex, done)
-
-    def _advance_streaming(self, block_arcs: int) -> RoundSummary:
-        """Block-streaming round for memory-mapped graphs.
+    def _advance_blocks(self, block_arcs: Optional[int]) -> RoundSummary:
+        """Min-scatter round over frontier blocks.
 
         The frontier is cut into slices whose combined out-degree fits
-        ``block_arcs`` (:func:`iter_frontier_blocks`), so at most one
-        block's arc gather is resident at a time; the arena recycles the
-        buffers across blocks. Bit-identical to the monolithic round:
-        the source distances are snapshotted before any scatter (the
-        monolithic path reads every candidate first), ``min`` is
+        ``block_arcs`` (:func:`iter_frontier_blocks`); in-RAM graphs pass
+        ``None`` and run the whole frontier as one block, mapped graphs
+        stream budget-sized blocks so at most one block's arc gather is
+        resident at a time (the arena recycles the buffers across
+        blocks). Every block split is bit-identical: the source
+        distances are snapshotted before any scatter, ``min`` is
         order-independent, and per-block improved sets union to exactly
-        the monolithic improved set (a cell improves against a running
+        the one-block improved set (a cell improves against a running
         minimum iff it improves against the round-start value), merged
         back into row-major frontier order by a sort over composite keys.
+        Each block aggregates per (source, target) cell with the fused
+        dense scatter or the sort-based segment reduction, pivoting on
+        the shared measured crossover (:func:`use_dense_cells`).
         """
         graph = self.graph
         arena = self.arena

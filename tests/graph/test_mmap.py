@@ -26,10 +26,6 @@ from repro.graph.csr import (
     iter_frontier_blocks,
     iter_row_blocks,
     propagate_mass,
-    segment_min,
-    segment_min_streaming,
-    segment_sum,
-    segment_sum_streaming,
     streaming_block_arcs,
 )
 from repro.graph.datasets import PAPER_DATASETS, DatasetProfile
@@ -275,6 +271,11 @@ class TestStreamingDispatch:
         for (_, hi), (lo2, _) in zip(blocks[:-1], blocks[1:]):
             assert hi == lo2
 
+    def test_unbounded_frontier_is_one_block(self):
+        degrees = make_rng(2).integers(0, 50, size=300)
+        assert list(iter_frontier_blocks(degrees, None)) == [(0, 300)]
+        assert list(iter_frontier_blocks(degrees[:0], None)) == []
+
     def test_propagate_mass_streams_identically(self, tmp_path):
         graph = chung_lu(400, 7.0, seed=23)
         mapped = save_mapped(graph, tmp_path / "g.csr")
@@ -285,43 +286,6 @@ class TestStreamingDispatch:
             propagate_mass(graph, per_vertex).tobytes()
             == propagate_mass(mapped, per_vertex).tobytes()
         )
-
-
-class TestStreamingSegmentReductions:
-    def _candidates(self, size=5000, cells=64):
-        rng = make_rng(31)
-        rows = rng.integers(0, 8, size=size)
-        cols = rng.integers(0, cells // 8, size=size)
-        return rows, cols
-
-    @pytest.mark.parametrize("block", [100, 999, 10_000])
-    def test_segment_min_streaming_bit_identical(self, block):
-        rows, cols = self._candidates()
-        values = make_rng(37).random(rows.size)
-        base = segment_min(rows, cols, values, 8)
-        streamed = segment_min_streaming(
-            rows, cols, values, 8, block_size=block
-        )
-        for a, b in zip(base, streamed):
-            assert a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("block", [100, 999])
-    def test_segment_sum_streaming_exact_for_counts(self, block):
-        rows, cols = self._candidates()
-        ones = np.ones(rows.size)
-        base = segment_sum(rows, cols, ones, 8)
-        streamed = segment_sum_streaming(rows, cols, ones, 8, block)
-        for a, b in zip(base, streamed):
-            assert a.tobytes() == b.tobytes()
-
-    def test_segment_sum_streaming_close_for_floats(self):
-        rows, cols = self._candidates()
-        values = make_rng(41).random(rows.size)
-        base = segment_sum(rows, cols, values, 8)
-        streamed = segment_sum_streaming(rows, cols, values, 8, 777)
-        assert np.array_equal(base[0], streamed[0])
-        assert np.array_equal(base[1], streamed[1])
-        np.testing.assert_allclose(base[2], streamed[2], rtol=1e-12)
 
 
 class TestStreamingKernels:

@@ -37,7 +37,7 @@ from repro.experiments.base import ExperimentConfig
 from repro.experiments.common import sweep_batches
 from repro.experiments.runner import run_all, run_experiment
 from repro.graph.datasets import load_dataset
-from repro.perf import kernel_pool, numa
+from repro.perf import numa
 from repro.perf.cache import clear_cache, configure_cache, get_cache
 from repro.tasks.base import make_task
 
@@ -55,12 +55,10 @@ def _isolated_perf_state():
     configure_cache(capacity=256)
     clear_cache()
     numa.reset_numa_state()
-    kernel_pool.reset_kernel_pool()
     yield
     cache.directory, cache.capacity = directory, capacity
     clear_cache()
     numa.reset_numa_state()
-    kernel_pool.reset_kernel_pool()
 
 
 def _markdown(results):
@@ -529,7 +527,6 @@ class TestCalibrationInvariance:
         degenerate = self._serve(
             ServicePolicy(
                 calibrate=False,
-                cost_shares=False,
                 cache_min_seconds=None,
                 tenant_cache_quotas=None,
             )
@@ -566,195 +563,3 @@ class TestCalibrationInvariance:
         assert json.dumps(warm, sort_keys=True) == json.dumps(
             cold, sort_keys=True
         )
-
-
-class TestKernelShardInvariance:
-    """Intra-task sharded kernels (``--kernel-workers``): the shard
-    count changes where rounds run, never what they compute — every
-    ``pack_job`` payload and rendered experiment row must stay
-    byte-identical across shard counts 1/2/7, pool on/off, mapped
-    graphs, and every ``--numa`` mode."""
-
-    KINDS = ("bppr", "mssp", "bkhs")
-    WORKER_COUNTS = (1, 2, 7)
-    BATCH_UNITS = 16.0
-
-    def _job(self, kind, workers):
-        from repro.engines.base import EngineSession
-        from repro.engines.registry import create_engine
-        from repro.sim.metrics import JobMetrics, pack_job
-
-        clear_cache()
-        kernel_pool.reset_kernel_pool()
-        if workers > 1:
-            kernel_pool.configure_kernel_workers(
-                workers, min_shard_candidates=1
-            )
-        graph = load_dataset("dblp", scale=SCALE)
-        cluster = cluster_by_name("galaxy-8", scale=SCALE)
-        engine = create_engine("pregel+", cluster)
-        session = EngineSession(
-            engine, make_task(kind, graph, self.BATCH_UNITS), seed=7
-        )
-        job = JobMetrics(
-            engine=engine.name,
-            task=kind,
-            dataset=graph.name,
-            cluster=cluster.name,
-            num_machines=cluster.num_machines,
-            total_workload=2 * self.BATCH_UNITS,
-            batch_sizes=[self.BATCH_UNITS, self.BATCH_UNITS],
-        )
-        for _ in range(2):
-            job.batches.append(session.run_batch(self.BATCH_UNITS))
-        dispatches = kernel_pool.kernel_pool_stats()["sharded_dispatches"]
-        kernel_pool.reset_kernel_pool()
-        return bytes(pack_job(job)["payload"]), dispatches
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_pack_job_across_shard_counts(self, kind):
-        serial, _ = self._job(kind, 1)
-        for workers in self.WORKER_COUNTS[1:]:
-            sharded, dispatches = self._job(kind, workers)
-            assert dispatches > 0, (kind, workers, "sharding never ran")
-            assert sharded == serial, (kind, workers)
-
-    def test_experiments_across_shard_counts(self):
-        baseline = _run(jobs=1)
-        for workers in self.WORKER_COUNTS[1:]:
-            kernel_pool.configure_kernel_workers(
-                workers, min_shard_candidates=1
-            )
-            assert _run(jobs=1) == baseline, workers
-
-    def test_pool_off_matches_inline_shards(self):
-        """The same shard plan run inline (pool off) and on the pool."""
-        import numpy as np
-
-        from repro.graph.csr import segment_min_sharded, segment_sum_sharded
-
-        rng = np.random.default_rng(3)
-        rows = rng.integers(0, 6, size=503)
-        cols = rng.integers(0, 41, size=503)
-        values = rng.random(503)
-        counts = np.ones(503)
-        inline_min = segment_min_sharded(rows, cols, values, 41, 5)
-        inline_sum = segment_sum_sharded(rows, cols, counts, 41, 5)
-        kernel_pool.configure_kernel_workers(5, min_shard_candidates=1)
-        pooled_min = segment_min_sharded(rows, cols, values, 41, 5)
-        pooled_sum = segment_sum_sharded(rows, cols, counts, 41, 5)
-        for inline, pooled in ((inline_min, pooled_min),
-                               (inline_sum, pooled_sum)):
-            for a, b in zip(inline, pooled):
-                assert a.tobytes() == b.tobytes()
-
-    def test_mapped_graphs_with_shards(self, tmp_path):
-        from repro.graph import datasets
-
-        baseline = _run(jobs=1)
-        kernel_pool.configure_kernel_workers(7, min_shard_candidates=1)
-        datasets.configure_out_of_core(force=True, directory=str(tmp_path))
-        try:
-            mapped_sharded = _run(jobs=1)
-        finally:
-            datasets.configure_out_of_core(None, None)
-        assert mapped_sharded == baseline
-
-    @pytest.mark.parametrize("mode", ["auto", "replicate", "interleave"])
-    def test_every_numa_mode_matches_off(self, mode):
-        numa.configure_numa(mode="off")
-        kernel_pool.configure_kernel_workers(2, min_shard_candidates=1)
-        baseline = _run(jobs=1)
-        kernel_pool.reset_kernel_pool()
-        numa.configure_numa(
-            mode=mode, topology=two_node_topology(), replicate_threshold=1
-        )
-        kernel_pool.configure_kernel_workers(2, min_shard_candidates=1)
-        assert _run(jobs=1) == baseline
-
-
-class TestShardSplitProperties:
-    """Hypothesis: the sharded segment reductions are shard-split
-    invariant — any shard count folds to the exact bytes of the
-    monolithic reduction (min always; sum in the all-ones /
-    integer-valued exactness regime every call site keeps)."""
-
-    @staticmethod
-    def _compare(fn_mono, fn_sharded, rows, cols, values, num_cols, shards):
-        import numpy as np
-
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        mono = fn_mono(rows, cols, values, num_cols)
-        sharded = fn_sharded(rows, cols, values, num_cols, shards)
-        for a, b in zip(mono, sharded):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-    def test_segment_min_shard_split_invariance(self):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.graph.csr import segment_min, segment_min_sharded
-
-        @settings(max_examples=60, deadline=None)
-        @given(data=st.data())
-        def run(data):
-            num_rows = data.draw(st.integers(1, 5))
-            num_cols = data.draw(st.integers(1, 9))
-            size = data.draw(st.integers(0, 80))
-            rows = data.draw(
-                st.lists(st.integers(0, num_rows - 1),
-                         min_size=size, max_size=size)
-            )
-            cols = data.draw(
-                st.lists(st.integers(0, num_cols - 1),
-                         min_size=size, max_size=size)
-            )
-            values = data.draw(
-                st.lists(
-                    st.floats(allow_nan=False, width=64),
-                    min_size=size, max_size=size,
-                )
-            )
-            shards = data.draw(st.integers(1, 9))
-            self._compare(
-                segment_min, segment_min_sharded,
-                rows, cols, values, num_cols, shards,
-            )
-
-        run()
-
-    def test_segment_sum_shard_split_invariance(self):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.graph.csr import segment_sum, segment_sum_sharded
-
-        @settings(max_examples=60, deadline=None)
-        @given(data=st.data())
-        def run(data):
-            num_rows = data.draw(st.integers(1, 5))
-            num_cols = data.draw(st.integers(1, 9))
-            size = data.draw(st.integers(0, 80))
-            rows = data.draw(
-                st.lists(st.integers(0, num_rows - 1),
-                         min_size=size, max_size=size)
-            )
-            cols = data.draw(
-                st.lists(st.integers(0, num_cols - 1),
-                         min_size=size, max_size=size)
-            )
-            # The exactness regime: integer-valued float64 counts (the
-            # walk tallies every production call site passes).
-            values = data.draw(
-                st.lists(st.integers(-(2 ** 40), 2 ** 40),
-                         min_size=size, max_size=size)
-            )
-            shards = data.draw(st.integers(1, 9))
-            self._compare(
-                segment_sum, segment_sum_sharded,
-                rows, cols, values, num_cols, shards,
-            )
-
-        run()

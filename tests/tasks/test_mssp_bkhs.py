@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.build import from_edges
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, iter_frontier_blocks
 from repro.graph.generators import chain, chung_lu, grid_2d
 from repro.graph.mirrors import build_mirror_plan
 from repro.graph.partition import hash_partition
 from repro.messages.routing import BroadcastRouter, PointToPointRouter
-from repro.perf import kernel_pool
 from repro.rng import make_rng
+from repro.tasks import bkhs as bkhs_module
+from repro.tasks import mssp as mssp_module
 from repro.tasks.bkhs import BKHSKernel, bkhs_task
 from repro.tasks.exact import (
     bfs_distances,
@@ -291,71 +292,6 @@ class TestUnweightedSparsePath:
         (summary, _), = rounds[1:]
         assert summary.done and summary.active_vertices == 0.0
 
-    def test_job_bytes_when_rounds_alternate_with_shards(self, monkeypatch):
-        """Kernel rounds alternating between the row-sharded and the
-        sparse-product path pack into the same job bytes as serial."""
-        from repro.cluster.cluster import cluster_by_name
-        from repro.engines.base import EngineSession
-        from repro.engines.registry import create_engine
-        from repro.graph.datasets import load_dataset
-        from repro.perf.cache import clear_cache
-        from repro.sim.metrics import JobMetrics, pack_job
-        from repro.tasks.base import make_task
-
-        def job_bytes():
-            clear_cache()
-            graph = load_dataset("dblp", scale=4000)
-            assert graph.weights is None
-            cluster = cluster_by_name("galaxy-8", scale=4000)
-            engine = create_engine("pregel+", cluster)
-            session = EngineSession(
-                engine, make_task("mssp", graph, 16.0), seed=7
-            )
-            job = JobMetrics(
-                engine=engine.name,
-                task="mssp",
-                dataset=graph.name,
-                cluster=cluster.name,
-                num_machines=cluster.num_machines,
-                total_workload=32.0,
-                batch_sizes=[16.0, 16.0],
-            )
-            for _ in range(2):
-                job.batches.append(session.run_batch(16.0))
-            return bytes(pack_job(job)["payload"])
-
-        paths = []
-        for name in ("_advance_unweighted", "_advance_parallel"):
-            original = getattr(MSSPKernel, name)
-
-            def counted(self, *args, _original=original, _name=name):
-                paths.append(_name)
-                return _original(self, *args)
-
-            monkeypatch.setattr(MSSPKernel, name, counted)
-        kernel_pool.reset_kernel_pool()
-        serial = job_bytes()
-        assert set(paths) == {"_advance_unweighted"}
-        calls = iter(range(1_000_000))
-        monkeypatch.setattr(
-            kernel_pool,
-            "choose_shards",
-            lambda candidates: 2 if next(calls) % 2 == 0 else 1,
-        )
-        paths.clear()
-        try:
-            kernel_pool.configure_kernel_workers(2, min_shard_candidates=1)
-            alternating = job_bytes()
-        finally:
-            kernel_pool.reset_kernel_pool()
-        assert paths[:4] == [
-            "_advance_parallel",
-            "_advance_unweighted",
-            "_advance_parallel",
-            "_advance_unweighted",
-        ]
-        assert alternating == serial
-
 
 @given(
     st.integers(min_value=1, max_value=25),
@@ -376,3 +312,105 @@ def test_mssp_property_matches_weighted_twin(n, m, max_rounds, seed):
         mssp_trace(unit_weight_twin(graph), workload, seed,
                    max_rounds=max_rounds)
     )
+
+
+def _hub_graph(weighted):
+    """40 vertices: hub 0 with 15 out-arcs, self-loops and parallel
+    arcs among 1..29, and sinks 30..39 with no out-arcs."""
+    rng = np.random.default_rng(17)
+    src = np.concatenate([np.zeros(15, np.int64), rng.integers(1, 30, 90)])
+    dst = np.concatenate([rng.integers(1, 40, 15), rng.integers(0, 40, 90)])
+    weights = rng.integers(1, 5, src.size).astype(float) if weighted else None
+    return from_edges(src, dst, weights=weights, num_vertices=40)
+
+
+def frontier_trace(kernel, workload):
+    """Every round's summary, residual and next frontier, plus the
+    final state-matrix bytes, of one batch."""
+    kernel.start_batch(workload)
+    rounds = []
+    for _ in range(10_000):
+        summary = kernel.step()
+        rounds.append(
+            (
+                summary,
+                kernel.residual_bytes(),
+                kernel._frontier_rows.tobytes(),
+                kernel._frontier_verts.tobytes(),
+            )
+        )
+        if summary.done:
+            break
+    state = kernel._dist if isinstance(kernel, MSSPKernel) else kernel._visited
+    return rounds, state.tobytes()
+
+
+class TestFrontierBlockSplit:
+    """Rounds cut into budget-sized frontier blocks are bit-equal to the
+    one-block rounds an in-RAM graph runs."""
+
+    KERNELS = {
+        "mssp": (
+            mssp_module,
+            lambda g: MSSPKernel(
+                g, router_for(g, 2), make_rng(4), sample_limit=None
+            ),
+            True,
+        ),
+        "mssp-max-rounds": (
+            mssp_module,
+            lambda g: MSSPKernel(
+                g, router_for(g, 2), make_rng(4), sample_limit=None,
+                max_rounds=2,
+            ),
+            True,
+        ),
+        "bkhs": (
+            bkhs_module,
+            lambda g: BKHSKernel(
+                g, router_for(g, 2), make_rng(4), k=3, sample_limit=None
+            ),
+            False,
+        ),
+    }
+
+    def _split_trace(self, monkeypatch, case, block_arcs):
+        module, make, weighted = self.KERNELS[case]
+        graph = _hub_graph(weighted)
+        blocks = []
+
+        def recorded(degrees, max_arcs):
+            for lo, hi in iter_frontier_blocks(degrees, max_arcs):
+                block = degrees[lo:hi]
+                blocks.append(
+                    (block.size, int(block.sum()), int((block == 0).sum()))
+                )
+                yield lo, hi
+
+        monkeypatch.setattr(module, "iter_frontier_blocks", recorded)
+        monkeypatch.setattr(
+            module, "streaming_block_arcs", lambda g: block_arcs
+        )
+        return frontier_trace(make(graph), graph.num_vertices), blocks
+
+    @pytest.mark.parametrize("block_arcs", [1, 5, 64])
+    @pytest.mark.parametrize("case", sorted(KERNELS))
+    def test_matches_one_block(self, monkeypatch, case, block_arcs):
+        one_block, whole = self._split_trace(monkeypatch, case, None)
+        split, blocks = self._split_trace(monkeypatch, case, block_arcs)
+        assert split == one_block
+        assert len(blocks) > len(whole)
+        if block_arcs < 15:
+            # The hub, heavier than the budget, gets a block alone.
+            assert (1, 15, 0) in blocks
+        if case == "mssp-max-rounds":
+            rounds, _ = split
+            assert len(rounds) == 2
+
+    @pytest.mark.parametrize("case", sorted(KERNELS))
+    def test_sinks_ride_along_in_blocks(self, monkeypatch, case):
+        split, blocks = self._split_trace(monkeypatch, case, 5)
+        # Every vertex is a source, so round 1's frontier holds the
+        # zero-out-degree sinks, which share blocks with senders.
+        assert any(0 < zeros < size for size, _, zeros in blocks)
+        assert split == self._split_trace(monkeypatch, case, None)[0]

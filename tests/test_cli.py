@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _ram_budget, build_parser, main
 
 
 class TestParser:
@@ -104,6 +106,35 @@ class TestParser:
         content = out_file.read_text()
         assert "paper vs measured" in content
         assert "fig2" in content
+
+
+class TestRamBudget:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("512M", 512 << 20), ("2g", 2 << 30), ("1024", 1024)],
+    )
+    def test_accepts(self, text, expected):
+        assert _ram_budget(text) == expected
+
+    @pytest.mark.parametrize("text", ["0", "-1", "abc", "inf", "1e400"])
+    def test_rejects(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _ram_budget(text)
+
+    @pytest.mark.parametrize("text", ["inf", "1e400"])
+    def test_flag_is_a_usage_error(self, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--max-ram", text])
+        assert exc.value.code == 2
+        assert "invalid memory budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["inf", "1e400", "abc"])
+    def test_env_var_exits_through_repro_error(
+        self, text, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_MAX_RAM", text)
+        assert main(["run", "--workload", "256"]) == 2
+        assert "error: REPRO_MAX_RAM" in capsys.readouterr().err
 
 
 class TestFaultFlags:
